@@ -2,7 +2,9 @@
 
 Exit codes follow one convention everywhere: 0 for success (and for
 predicates that hold), 1 for a requested predicate that is false, 2 for
-usage, parse or precondition problems, 3 for an exceeded node budget.
+usage, parse or precondition problems, 3 for an exceeded node budget, and
+141 (128 + SIGPIPE, as a shell reports a process killed by it) when the
+reader of stdout goes away early, as in ``stampbase enumerate 14 | head``.
 Table output is assembled in full before anything is written, so a budget
 abort never leaves a partial table behind.
 """
@@ -15,7 +17,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .basis import Basis, BasisError, PreconditionError, basis_range, is_p_basis
 from .extension import is_extensible, periodic_scan, stohr_sequence
@@ -33,15 +34,6 @@ from .symmetric import is_symmetricisable, is_symmetricisable_plus
 
 DEFAULT_P_MAX = 14
 DEFAULT_K_MAX = 40
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    threads: int = 1
-    node_budget: int | None = None
-    checkpoint_path: str | None = None
-    output_format: str = "csv"
-    verify_periods: int = 3
 
 
 def _threads_default() -> int:
@@ -358,13 +350,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so a closed pipe is caught below and not at exit
+        return code
     except (BasisError, PreconditionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except BudgetExceededError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # whatever is still buffered goes nowhere, so the flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

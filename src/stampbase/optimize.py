@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .basis import Basis, PreconditionError
-from .search import iter_classified, iter_p_plus
+from .search import BasisDFS, classify_raw
 from .symmetric import closure_profile
 
 
@@ -41,28 +41,30 @@ class MaximalBasisSet:
 def maximal_symmetricisable(
     p: int, mode: str = "plain", node_budget: int | None = None
 ) -> MaximalBasisSet:
-    """Symmetricisable bases with the largest tail, ties included."""
+    """Symmetricisable bases with the largest tail, ties included.
+
+    The tail is a strictly increasing function of the last element, so
+    once a symmetricisable basis is found no leaf with a smaller last
+    element can win: the search floor rises to each new best, and the
+    leaves below it are counted but neither built nor classified.
+    """
     if mode == "plain":
-        stream = (
-            (rec.tail, rec.basis)
-            for rec in iter_classified(p, node_budget=node_budget)
-            if rec.symmetricisable
-        )
+        total, shift = p - 1, 0
     elif mode == "plus":
-        stream = (
-            (rec.comparison_tail, rec.basis)
-            for rec in iter_p_plus(p, depth=1, node_budget=node_budget)
-            if rec.symmetricisable
-        )
+        total, shift = p, p
     else:
         raise PreconditionError(f"mode must be 'plain' or 'plus', got {mode!r}")
+    dfs = BasisDFS(p, total, constrained=p - 1, node_budget=node_budget)
     best_tail = -1
     best: list[Basis] = []
-    for tail, basis in stream:
+    for elems in dfs:  # below the floor nothing comes out, so tail >= best_tail
+        if not classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p)[1]:
+            continue
+        tail = elems[-1] - shift
         if tail > best_tail:
-            best_tail, best = tail, [basis]
-        elif tail == best_tail:
-            best.append(basis)
+            best_tail, best = tail, []
+            dfs.floor = elems[-1]
+        best.append(Basis(elems))
     if best_tail < 0:
         raise PreconditionError(f"no symmetricisable basis exists for p = {p}")
     return MaximalBasisSet(p=p, mode=mode, tail=best_tail, bases=tuple(best))

@@ -26,12 +26,20 @@ p-basis, compared against others by the tail a_p - p.
 
 from __future__ import annotations
 
+import bisect
 import json
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass
 
-from .basis import Basis, PreconditionError, extend_coverage, range_from_coverage
+from .basis import (
+    Basis,
+    PreconditionError,
+    extend_coverage,
+    first_gap,
+    range_from_coverage,
+)
 from .extension import is_extensible
 from .symmetric import closure_admissible_at, closure_profile
 
@@ -56,6 +64,14 @@ class BasisDFS:
     are free (used for the extra elements of plus-mode searches).  After a
     yield, leaf_cov / leaf_mask / leaf_n hold the coverage state of the
     yielded basis so consumers can continue incrementally.
+
+    Every node counts towards `visited`, leaves included, but leaves are
+    visited in a loop over the candidates of their parent rather than
+    pushed as levels of their own; where one residue is left, those
+    candidates form an arithmetic progression with step p.  Setting
+    `floor` withholds the leaves whose last element is below it: they are
+    counted arithmetically, so `visited` and the node budget still see
+    them, but no tuple or coverage is built for them.
     """
 
     def __init__(
@@ -71,74 +87,89 @@ class BasisDFS:
             raise PreconditionError(f"enumeration needs p >= 3, got {p}")
         if total < 1:
             raise PreconditionError(f"need at least one level, got {total}")
+        constrained = total if constrained is None else constrained
+        if constrained > p - 1:
+            raise PreconditionError(
+                f"only p - 1 = {p - 1} levels can take distinct nonzero residues, "
+                f"not {constrained}"
+            )
         self.p = p
         self.total = total
-        self.constrained = total if constrained is None else constrained
+        self.constrained = constrained
         self.min_height = min_height
         self.node_budget = node_budget
+        self.floor = 0
         self.visited = 0
-        self.leaf_cov = self.leaf_mask = self.leaf_n = None
+        self.leaf_cov = self.leaf_mask = None
         self._elems: list[int] = []
-        self._covs: list[int] = []
-        self._masks: list[int] = []
-        self._ns: list[int] = []
-        self._useds: list[int] = []
         self._cursors: list[int] = []
+        # per level: (coverage, element mask, n + 1, nonzero residues still free)
+        self._frames: list[tuple[int, int, int, int]] = []
         if state is None:
-            self._push(1)
+            self._elems.append(1)
+            self._cursors.append(2)
+            self._frames.append(_child(_empty_frame(p), 1, p))
+            self.visited = 1
+            if node_budget is not None and node_budget < 1:
+                raise BudgetExceededError(1, node_budget)
         else:
             self._restore(state)
+        self._walker = self._walk()
 
-    def _push(self, c: int) -> None:
-        if self._elems:
-            cov = self._covs[-1] | (self._masks[-1] << c) | (1 << (2 * c))
-            mask = self._masks[-1] | (1 << c)
-            used = self._useds[-1] | (1 << (c % self.p))
-        else:
-            cov, mask = 0b111, 0b11
-            used = 1 << (1 % self.p)
-        self._elems.append(c)
-        self._covs.append(cov)
-        self._masks.append(mask)
-        self._ns.append(((~cov) & (cov + 1)).bit_length() - 2)
-        self._useds.append(used)
-        self._cursors.append(c + 1)
-        self.visited += 1
-        if self.node_budget is not None and self.visited > self.node_budget:
-            raise BudgetExceededError(self.visited, self.node_budget)
-
-    def _pop(self) -> None:
-        self._elems.pop()
-        self._covs.pop()
-        self._masks.pop()
-        self._ns.pop()
-        self._useds.pop()
-        self._cursors.pop()
-
-    def _halt(self) -> None:
-        self._elems.clear()
-        self._covs.clear()
-        self._masks.clear()
-        self._ns.clear()
-        self._useds.clear()
-        self._cursors.clear()
+    @property
+    def leaf_n(self) -> int | None:
+        """Range of the last yielded leaf."""
+        if self.leaf_cov is None:
+            return None
+        return range_from_coverage(self.leaf_cov)
 
     def _restore(self, state: dict) -> None:
+        """Replay a saved frontier, rejecting any that no walk could reach."""
+        p = self.p
         prefix = list(state["prefix"])
         cursors = list(state["cursors"])
+        visited = state.get("visited", len(prefix))
+        if state.get("p", p) != p:
+            raise PreconditionError(f"corrupt state: saved for p={state['p']}, not {p}")
         if len(prefix) != len(cursors):
             raise PreconditionError("corrupt state: prefix/cursor length mismatch")
-        if prefix and prefix[0] != 1:
-            raise PreconditionError("corrupt state: prefix must start at 1")
-        if any(b <= a for a, b in zip(prefix, prefix[1:])):
-            raise PreconditionError("corrupt state: prefix must be increasing")
-        budget = self.node_budget
-        self.node_budget = None  # replay must not consume the budget twice
-        for c in prefix:
-            self._push(c)
-        self.node_budget = budget
+        if len(prefix) > self.total:
+            raise PreconditionError("corrupt state: prefix is deeper than the search")
+        if any(type(x) is not int for x in prefix + cursors + [visited]):
+            raise PreconditionError("corrupt state: entries must be integers")
+        frame, prev = _empty_frame(p), 0
+        for level, c in enumerate(prefix):
+            _, _, limit, free = frame
+            if not prev < c <= limit:
+                raise PreconditionError(
+                    f"corrupt state: element {c} at level {level} is outside "
+                    f"({prev}, n + 1 = {limit}]"
+                )
+            r = c % p
+            if level < self.constrained and not (free >> r) & 1:
+                raise PreconditionError(
+                    f"corrupt state: element {c} at level {level} repeats "
+                    f"residue {r} mod {p} or is divisible by it"
+                )
+            frame, prev = _child(frame, c, p), c
+            self._frames.append(frame)
+        # levels below min_height - 1 are never resumed, so their cursors are free
+        for level in range(max(self.min_height - 1, 0), len(prefix) - 1):
+            if cursors[level] != prefix[level + 1] + 1:
+                raise PreconditionError(
+                    f"corrupt state: cursor {cursors[level]} at level {level} "
+                    f"does not follow element {prefix[level + 1]}"
+                )
+        if prefix and not prefix[-1] < cursors[-1] <= frame[2] + 1:
+            raise PreconditionError(
+                f"corrupt state: last cursor {cursors[-1]} is outside "
+                f"({prefix[-1]}, n + 2 = {frame[2] + 1}]"
+            )
+        if visited < len(prefix):
+            raise PreconditionError("corrupt state: fewer nodes visited than the prefix holds")
+        self._elems[:] = prefix
         self._cursors[:] = cursors
-        self.visited = int(state.get("visited", len(prefix)))
+        self.visited = visited
 
     def state(self) -> dict:
         """Serializable frontier; restoring it resumes exactly here."""
@@ -150,40 +181,106 @@ class BasisDFS:
         }
 
     def __iter__(self):
-        return self
+        # the walk itself, so a for loop resumes it with no call per leaf
+        return self._walker
 
     def __next__(self) -> tuple[int, ...]:
-        p = self.p
-        elems = self._elems
-        cursors = self._cursors
+        return next(self._walker)
+
+    def _over_budget(self, visited: int) -> BudgetExceededError:
+        self.visited = visited = min(visited, self.node_budget + 1)
+        return BudgetExceededError(visited, self.node_budget)
+
+    def _walk(self):
+        """The DFS proper; `_elems`, `_cursors` and `visited` are current at each yield."""
+        p, total, constrained = self.p, self.total, self.constrained
+        cap = math.inf if self.node_budget is None else self.node_budget
+        elems, cursors, frames = self._elems, self._cursors, self._frames
+        min_height, leaf_parent = self.min_height, total - 1
+        visited = self.visited
         while elems:
             depth = len(elems)
-            if depth == self.total:
-                leaf = tuple(elems)
-                self.leaf_cov = self._covs[-1]
-                self.leaf_mask = self._masks[-1]
-                self.leaf_n = self._ns[-1]
-                self._pop()
-                if len(elems) < self.min_height:
-                    self._halt()
-                return leaf
+            cov, mask, limit, free = frames[-1]
             c = cursors[-1]
-            limit = self._ns[-1] + 1
-            if depth < self.constrained:
-                used = self._useds[-1]
-                while c <= limit:
+            if depth == leaf_parent:
+                head = tuple(elems)
+                if depth >= constrained:
+                    cands = range(c, limit + 1)
+                elif free & (free - 1) == 0:  # one residue left
+                    c += (free.bit_length() - 1 - c) % p
+                    cands = range(c, limit + 1, p)
+                else:
+                    cands = [x for x in range(c, limit + 1) if (free >> (x % p)) & 1]
+                i, end = 0, len(cands)
+                while i < end:
+                    c = cands[i]
+                    if c < self.floor:
+                        j = bisect.bisect_left(cands, self.floor, i)
+                        visited += j - i
+                        if visited > cap:
+                            raise self._over_budget(visited)
+                        i = j
+                        continue
+                    visited += 1
+                    if visited > cap:
+                        raise self._over_budget(visited)
+                    self.visited = visited
+                    cursors[-1] = c + 1
+                    self.leaf_cov = cov | (mask << c) | (1 << (2 * c))
+                    self.leaf_mask = mask | (1 << c)
+                    yield head + (c,)
+                    i += 1
+            elif depth < total:
+                if depth < constrained:
+                    # jump to the next candidate whose residue is still free
                     r = c % p
-                    if r != 0 and not (used >> r) & 1:
-                        break
-                    c += 1
-            if c > limit:
-                self._pop()
-                if len(elems) < self.min_height:
-                    self._halt()
-                continue
-            cursors[-1] = c + 1
-            self._push(c)
-        raise StopIteration
+                    above = free >> r
+                    if above:
+                        c += (above & -above).bit_length() - 1
+                    else:
+                        c += p - r + (free & -free).bit_length() - 1
+                if c <= limit:
+                    cursors[-1] = c + 1
+                    cov |= (mask << c) | (1 << (2 * c))
+                    elems.append(c)
+                    cursors.append(c + 1)
+                    frames.append((
+                        cov,
+                        mask | (1 << c),
+                        ((~cov) & (cov + 1)).bit_length() - 1,
+                        free & ~(1 << (c % p)),
+                    ))
+                    visited += 1
+                    if visited > cap:
+                        raise self._over_budget(visited)
+                    continue
+            else:
+                # a leaf pushed as a level: total == 1, or a restored full prefix
+                leaf = tuple(elems)
+                self.leaf_cov, self.leaf_mask = cov, mask
+            elems.pop()
+            cursors.pop()
+            frames.pop()
+            if depth <= min_height:
+                elems.clear()
+                cursors.clear()
+                frames.clear()
+            if depth == total:
+                self.visited = visited
+                yield leaf
+        self.visited = visited
+
+
+def _empty_frame(p: int) -> tuple[int, int, int, int]:
+    """The empty prefix: only 0 is covered, so the first element must be 1."""
+    return 1, 1, 1, (1 << p) - 2
+
+
+def _child(frame: tuple[int, int, int, int], c: int, p: int) -> tuple[int, int, int, int]:
+    """Frame of a prefix after appending c to the prefix described by `frame`."""
+    cov, mask, _, free = frame
+    cov, mask = extend_coverage(cov, mask, c)
+    return cov, mask, first_gap(cov), free & ~(1 << (c % p))
 
 
 def subtree_prefixes(p: int, total: int, constrained: int, depth: int) -> list:
@@ -192,15 +289,10 @@ def subtree_prefixes(p: int, total: int, constrained: int, depth: int) -> list:
     return list(BasisDFS(p, depth, constrained=min(constrained, depth)))
 
 
-def _subtree_dfs(p, total, constrained, prefix, node_budget=None) -> BasisDFS:
+def _subtree_dfs(p, total, constrained, prefix) -> BasisDFS:
     state = {"p": p, "prefix": list(prefix), "cursors": [c + 1 for c in prefix]}
     return BasisDFS(
-        p,
-        total,
-        constrained=constrained,
-        state=state,
-        min_height=len(prefix),
-        node_budget=node_budget,
+        p, total, constrained=constrained, state=state, min_height=len(prefix)
     )
 
 
@@ -323,9 +415,7 @@ class ClassStats:
         return 100.0 * self.n_s / self.n_e if self.n_e else 0.0
 
 
-def _classify_subtree(args) -> tuple[int, int, int]:
-    p, prefix, node_budget = args
-    dfs = _subtree_dfs(p, p - 1, p - 1, prefix, node_budget=node_budget)
+def _count_classes(dfs: BasisDFS, p: int) -> tuple[int, int, int]:
     n_p = n_e = n_s = 0
     for elems in dfs:
         n_p += 1
@@ -335,20 +425,27 @@ def _classify_subtree(args) -> tuple[int, int, int]:
     return n_p, n_e, n_s
 
 
+def _classify_subtree(args) -> tuple[int, int, int]:
+    p, prefix = args
+    return _count_classes(_subtree_dfs(p, p - 1, p - 1, prefix), p)
+
+
+def _reject_budget_with_threads(threads: int, node_budget: int | None) -> None:
+    # each worker would count its own subtree only; one global cap is still open
+    if threads > 1 and node_budget is not None:
+        raise PreconditionError("a node budget requires a single-threaded run")
+
+
 def classify(p: int, threads: int = 1, node_budget: int | None = None) -> ClassStats:
     """Counts (n_p, n_e, n_s) of all / extensible / symmetricisable p-bases."""
+    _reject_budget_with_threads(threads, node_budget)
     if threads <= 1:
-        n_p = n_e = n_s = 0
-        for rec in iter_classified(p, node_budget=node_budget):
-            n_p += 1
-            n_e += rec.extensible
-            n_s += rec.symmetricisable
+        dfs = BasisDFS(p, p - 1, node_budget=node_budget)
+        n_p, n_e, n_s = _count_classes(dfs, p)
         return ClassStats(p=p, n_p=n_p, n_e=n_e, n_s=n_s)
     prefixes = subtree_prefixes(p, p - 1, p - 1, _split_depth(p))
     with multiprocessing.Pool(threads) as pool:
-        parts = pool.map(
-            _classify_subtree, [(p, pre, node_budget) for pre in prefixes]
-        )
+        parts = pool.map(_classify_subtree, [(p, pre) for pre in prefixes])
     n_p = sum(a for a, _, _ in parts)
     n_e = sum(b for _, b, _ in parts)
     n_s = sum(c for _, _, c in parts)
@@ -599,6 +696,7 @@ def run_enumeration(
         classify_records = True
     if threads > 1 and checkpoint_path:
         raise PreconditionError("checkpointing requires a single-threaded run")
+    _reject_budget_with_threads(threads, node_budget)
     total = p - 1 if mode == "plain" else p
 
     counts = {"count": 0, "n_e": 0, "n_s": 0}

@@ -65,3 +65,31 @@ def brute_closure(origin, p: int, m: int):
     ext = [b0 + i * p for i in range(1, m + 1)]
     mirror = [bm + b0 - a for a in (0,) + tuple(origin[:-1])]
     return tuple(sorted(tuple(origin) + tuple(ext) + tuple(mirror)))
+
+
+def search_tree(p: int, total: int, constrained: int):
+    """Leaves and node count of the p-basis search tree, by plain recursion.
+
+    A node is a prefix 1 = a_1 < ... < a_t in which each element is at
+    most n(previous prefix) + 1, and the first `constrained` elements have
+    distinct nonzero residues mod p.  Leaves are the nodes with `total`
+    elements; they come out in lexicographic order, and every node,
+    leaves included, counts once.
+    """
+    leaves = []
+    visited = 0
+
+    def grow(prefix):
+        nonlocal visited
+        visited += 1
+        if len(prefix) == total:
+            leaves.append(tuple(prefix))
+            return
+        residues = {a % p for a in prefix}
+        for c in range(prefix[-1] + 1, brute_range(prefix) + 2):
+            if len(prefix) < constrained and (c % p == 0 or c % p in residues):
+                continue
+            grow(prefix + [c])
+
+    grow([1])
+    return leaves, visited

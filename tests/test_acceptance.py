@@ -2,8 +2,8 @@
 
 Each test prints as a single pass/fail line under pytest -v.  The frozen
 constants live in frozen.py; the brute-force cross-checks in oracles.py.
-Long census sizes (p = 15, 16) are marked stretch and excluded from the
-default run.
+The longest census sizes (p = 15, 16) are marked stretch; they run by
+default and can be deselected with -m 'not stretch'.
 """
 
 import random

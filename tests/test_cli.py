@@ -14,8 +14,8 @@ from frozen import CENSUS, PERIODIC_SEEDS, PLAIN_SEGMENTS, STOHR_EXAMPLE
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_child(argv, cwd):
-    """Run ``argv`` in a new process that imports stampbase from this checkout.
+def child_env():
+    """Environment for a new process that imports stampbase from this checkout.
 
     ``src`` goes first on the child's ``PYTHONPATH`` (any inherited value
     after it), so the child does not depend on the working directory or
@@ -25,8 +25,12 @@ def run_child(argv, cwd):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def run_child(argv, cwd):
     return subprocess.run(
-        argv, capture_output=True, text=True, timeout=60, env=env, cwd=cwd,
+        argv, capture_output=True, text=True, timeout=60, env=child_env(), cwd=cwd,
     )
 
 
@@ -136,6 +140,29 @@ def test_enumerate_budget_exit(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [["enumerate", "12"], ["tables", "3"]])
+def test_node_budget_with_threads_rejected(capsys, argv):
+    code, out, err = run_cli(
+        capsys, *argv, "--threads", "2", "--node-budget", "50",
+    )
+    assert (code, out) == (2, "")
+    assert "single-threaded" in err
+
+
+def test_closed_stdout_pipe_exits_quietly(tmp_path):
+    with subprocess.Popen(
+        [sys.executable, "-m", "stampbase", "enumerate", "14"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=child_env(), cwd=tmp_path,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert json.loads(first)["p"] == 14
+    assert proc.returncode == 141
+    assert err == b""
+
+
 def test_enumerate_to_file(tmp_path, capsys):
     out_file = tmp_path / "p8.jsonl"
     code, out, _ = run_cli(
@@ -167,6 +194,23 @@ def test_enumerate_checkpoint_resume_round_trip(tmp_path, capsys):
     assert code == 0
     assert out.read_bytes() == ref.read_bytes()
     assert not ckpt.exists()
+
+
+def test_enumerate_resume_rejects_corrupt_cursors(tmp_path, capsys):
+    ckpt = tmp_path / "p8.ckpt"
+    out = tmp_path / "p8.jsonl"
+    out.write_text("")
+    ckpt.write_text(json.dumps({
+        "p": 8, "prefix": [1, 3], "cursors": [0, 0], "visited": 2,
+        "partial_stats": {"mode": "plain", "classify": False, "count": 0},
+    }))
+    code, _, err = run_cli(
+        capsys, "enumerate", "8", "--out", str(out),
+        "--checkpoint", str(ckpt), "--resume",
+    )
+    assert code == 2
+    assert "corrupt state" in err
+    assert out.read_text() == ""
 
 
 def test_enumerate_resume_without_checkpoint(tmp_path, capsys):

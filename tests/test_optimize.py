@@ -7,6 +7,7 @@ from stampbase.optimize import (
     maximal_symmetricisable,
     range_table,
 )
+from stampbase.search import BasisDFS, BudgetExceededError, iter_classified, iter_p_plus
 from stampbase.symmetric import build_symmetric_closure
 
 from frozen import (
@@ -39,6 +40,38 @@ def test_maximal_plus_p12_tie_count():
     mset = maximal_symmetricisable(12, "plus")
     assert mset.tail == MAXIMAL_PLUS_TAILS[12]
     assert len(mset.bases) == MAXIMAL_PLUS_P12_COUNT
+
+
+@pytest.mark.parametrize("mode", ["plain", "plus"])
+@pytest.mark.parametrize("p", range(5, 12))
+def test_maximal_equals_brute_force(p, mode):
+    if mode == "plain":
+        found = [(r.tail, r.basis) for r in iter_classified(p) if r.symmetricisable]
+    else:
+        found = [(r.comparison_tail, r.basis) for r in iter_p_plus(p) if r.symmetricisable]
+    best = max(tail for tail, _ in found)
+    mset = maximal_symmetricisable(p, mode)
+    assert mset.tail == best
+    assert mset.bases == tuple(b for tail, b in found if tail == best)
+
+
+@pytest.mark.parametrize("mode, total", [("plain", 7), ("plus", 8)])
+def test_floored_search_budget_is_exact(mode, total):
+    p = 8
+    full = BasisDFS(p, total, constrained=p - 1)
+    for _ in full:
+        pass
+    n = full.visited
+    expected = maximal_symmetricisable(p, mode)
+    assert maximal_symmetricisable(p, mode, node_budget=n) == expected
+    with pytest.raises(BudgetExceededError) as err:
+        maximal_symmetricisable(p, mode, node_budget=n - 1)
+    assert err.value.visited == n
+    # a budget may also run out inside a run of leaves counted below the floor
+    for budget in range(1, n - 1):
+        with pytest.raises(BudgetExceededError) as err:
+            maximal_symmetricisable(p, mode, node_budget=budget)
+        assert (err.value.visited, err.value.budget) == (budget + 1, budget)
 
 
 def test_maximal_mode_guard():

@@ -1,8 +1,12 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stampbase.basis import Basis, PreconditionError, basis_range
+from stampbase.basis import Basis, PreconditionError, basis_range, coverage
 from stampbase.extension import is_extensible
 from stampbase.search import (
     BasisDFS,
@@ -24,7 +28,7 @@ from stampbase.search import (
 from stampbase.symmetric import is_symmetricisable_plus
 
 from frozen import CENSUS, CLASSIFICATION, RANGE_COMPARISON
-from oracles import naive_p_bases
+from oracles import brute_range, naive_p_bases, search_tree
 
 
 @pytest.mark.parametrize("p", range(3, 11))
@@ -36,6 +40,44 @@ def test_census_counts(p):
 def test_pruned_search_equals_naive(p):
     pruned = [b.elements for b in iter_p_bases(p)]
     assert pruned == naive_p_bases(p)
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
+@pytest.mark.parametrize("p", range(3, 12))
+def test_dfs_matches_recursive_walk(p, extra):
+    total = p - 1 + extra
+    dfs = BasisDFS(p, total, constrained=p - 1)
+    leaves = []
+    for elems in dfs:
+        assert (dfs.leaf_cov, dfs.leaf_mask) == coverage(elems)
+        assert dfs.leaf_n == brute_range(elems)
+        leaves.append(elems)
+    assert (leaves, dfs.visited) == search_tree(p, total, p - 1)
+
+
+@pytest.mark.parametrize("p, total", [(8, 1), (8, 2), (8, 3), (9, 4), (6, 4)])
+def test_shallow_dfs_matches_recursive_walk(p, total):
+    # the split searches: several residues are still free at the last level
+    dfs = BasisDFS(p, total, constrained=total)
+    assert (list(dfs), dfs.visited) == search_tree(p, total, total)
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
+def test_floor_withholds_leaves_but_counts_them(extra):
+    p = 11
+    total = p - 1 + extra
+    full = BasisDFS(p, total, constrained=p - 1)
+    leaves = list(full)
+    floor = sorted(e[-1] for e in leaves)[len(leaves) // 2]
+    dfs = BasisDFS(p, total, constrained=p - 1)
+    dfs.floor = floor
+    assert list(dfs) == [e for e in leaves if e[-1] >= floor]
+    assert dfs.visited == full.visited
+
+
+def test_constrained_levels_need_free_residues():
+    with pytest.raises(PreconditionError):
+        BasisDFS(5, 5)
 
 
 def test_iteration_is_lexicographic():
@@ -83,6 +125,34 @@ def test_state_restore_resumes_mid_iteration():
     resumed = BasisDFS(9, 8, state=dfs.state())
     assert list(resumed) == list(dfs)
     assert head[0] is not None
+
+
+def test_node_budget_needs_a_single_thread(tmp_path):
+    with pytest.raises(PreconditionError, match="single-threaded"):
+        classify(14, threads=2, node_budget=5000)
+    with pytest.raises(PreconditionError, match="single-threaded"):
+        run_enumeration(12, out_path=str(tmp_path / "x.jsonl"), threads=2, node_budget=50)
+    assert not (tmp_path / "x.jsonl").exists()
+
+
+@pytest.mark.parametrize("p, prefix, cursors", [
+    (8, [1, 3], [0, 0]),  # the cursors would revisit 1 and 3
+    (8, [1, 3], [4, 3]),  # last cursor not past its element
+    (8, [1, 3], [4, 7]),  # last cursor past n(1, 3) + 2 = 6
+    (8, [1, 3], [5, 4]),  # cursor of level 0 skips a child
+    (8, [2, 3], [3, 4]),  # first element not 1
+    (8, [1, 4], [5, 5]),  # 4 above n(1) + 1 = 3
+    (8, [1, 3, 2], [4, 3, 3]),  # not increasing
+    (5, [1, 2, 5], [3, 6, 6]),  # residue 0
+    (5, [1, 2, 4, 6], [3, 5, 7, 7]),  # residue 1 twice
+    (8, [1, 3], [4, "5"]),  # not an integer
+], ids=["zero-cursors", "stale-cursor", "cursor-above-range", "skipping-cursor",
+        "first-not-1", "above-range", "decreasing", "residue-0",
+        "repeated-residue", "not-int"])
+def test_restore_rejects_corrupt_state(p, prefix, cursors):
+    state = {"p": p, "prefix": prefix, "cursors": cursors}
+    with pytest.raises(PreconditionError, match="corrupt state"):
+        BasisDFS(p, p - 1, state=state)
 
 
 def test_budget_abort_reports_node_counts():
@@ -262,3 +332,30 @@ def test_checkpoint_rejects_mismatched_run(tmp_path):
             checkpoint_path=str(ckpt),
             resume=True,
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mode=st.sampled_from(["plain", "plus"]),
+    classify_records=st.booleans(),
+    budget=st.integers(min_value=1, max_value=380),
+    every=st.integers(min_value=1, max_value=60),
+)
+def test_interrupted_run_resumes_byte_identical(mode, classify_records, budget, every):
+    p = 9  # 180 nodes in plain mode, 341 in plus mode
+    with tempfile.TemporaryDirectory() as tmp:
+        ref = os.path.join(tmp, "ref.jsonl")
+        out = os.path.join(tmp, "out.jsonl")
+        ckpt = os.path.join(tmp, "ckpt.json")
+        args = dict(mode=mode, classify_records=classify_records)
+        run_enumeration(p, out_path=ref, **args)
+        resume_args = dict(out_path=out, checkpoint_path=ckpt, checkpoint_every=every, **args)
+        try:
+            run_enumeration(p, node_budget=budget, **resume_args)
+        except BudgetExceededError as err:
+            assert err.visited == budget + 1
+            # a run stopped before its first checkpoint starts afresh
+            run_enumeration(p, resume=os.path.exists(ckpt), **resume_args)
+        with open(ref, "rb") as a, open(out, "rb") as b:
+            assert a.read() == b.read()
+        assert not os.path.exists(ckpt)
