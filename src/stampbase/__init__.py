@@ -51,7 +51,6 @@ from .search import (
     classify,
     classify_basis,
     enumerate_p_bases,
-    enumerate_p_plus,
     iter_classified,
     iter_p_bases,
     iter_p_plus,

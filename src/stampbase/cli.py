@@ -36,14 +36,28 @@ DEFAULT_P_MAX = 14
 DEFAULT_K_MAX = 40
 
 
+def _int_at_least(low: int):
+    """argparse type for integers >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+
+
 def _threads_default() -> int:
-    env = os.environ.get("STAMPBASE_THREADS")
-    if env is None:
-        return 1
     try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+        return _positive_int(os.environ.get("STAMPBASE_THREADS", "1"))
+    except argparse.ArgumentTypeError as err:
+        raise PreconditionError(f"STAMPBASE_THREADS: {err}") from None
 
 
 def _pct(x: float) -> str:
@@ -288,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="2-stamp additive bases: ranges, p-bases, extremal tables",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    threads = _threads_default()
 
     p_range = sub.add_parser("range", help="range and admissibility of a basis")
     p_range.add_argument("basis", help="comma-separated elements, e.g. 1,3,4,6,11")
@@ -312,10 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--checkpoint", help="checkpoint file for resumable runs")
     p_enum.add_argument("--resume", action="store_true",
                         help="continue from the checkpoint file")
-    p_enum.add_argument("--checkpoint-every", type=int, default=5000,
+    p_enum.add_argument("--checkpoint-every", type=_positive_int, default=5000,
                         dest="checkpoint_every", metavar="NODES")
-    p_enum.add_argument("--threads", type=int, default=_threads_default())
-    p_enum.add_argument("--node-budget", type=int, default=None,
+    p_enum.add_argument("--threads", type=_positive_int, default=threads)
+    p_enum.add_argument("--node-budget", type=_non_negative_int, default=None,
                         dest="node_budget")
     p_enum.set_defaults(func=cmd_enumerate)
 
@@ -328,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                           dest="k_max")
     p_tables.add_argument("--format", choices=("csv", "wide"), default="csv")
     p_tables.add_argument("--out")
-    p_tables.add_argument("--threads", type=int, default=_threads_default())
-    p_tables.add_argument("--node-budget", type=int, default=None,
+    p_tables.add_argument("--threads", type=_positive_int, default=threads)
+    p_tables.add_argument("--node-budget", type=_non_negative_int, default=None,
                           dest="node_budget")
     p_tables.set_defaults(func=cmd_tables)
 
@@ -348,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # here, so a closed pipe is caught below and not at exit
         return code

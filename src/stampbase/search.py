@@ -31,6 +31,7 @@ import json
 import math
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from .basis import (
@@ -296,6 +297,12 @@ def _subtree_dfs(p, total, constrained, prefix) -> BasisDFS:
     )
 
 
+def _subtree_fold(args):
+    """Pool worker: `fold(dfs, p, *rest)` on the subtree below one prefix."""
+    fold, p, total, prefix, *rest = args
+    return fold(_subtree_dfs(p, total, p - 1, prefix), p, *rest)
+
+
 def _split_depth(p: int) -> int:
     return max(1, min(4, p - 2))
 
@@ -325,15 +332,6 @@ class PBasisRecord:
     extensible: bool
     symmetricisable: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "basis": list(self.basis.elements),
-            "tail": self.tail,
-            "extensible": self.extensible,
-            "symmetricisable": self.symmetricisable,
-        }
-
 
 @dataclass(frozen=True)
 class PlusBasisRecord:
@@ -344,14 +342,11 @@ class PlusBasisRecord:
     extensible: bool
     symmetricisable: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "basis": list(self.basis.elements),
-            "tail": self.comparison_tail,
-            "extensible": self.extensible,
-            "symmetricisable": self.symmetricisable,
-        }
+
+def _classified(dfs: BasisDFS, p: int):
+    """(elements, extensible, symmetricisable) for every leaf of the walk."""
+    for elems in dfs:
+        yield (elems, *classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p))
 
 
 def iter_p_bases(p: int, node_budget: int | None = None):
@@ -360,14 +355,9 @@ def iter_p_bases(p: int, node_budget: int | None = None):
         yield Basis(elems)
 
 
-def enumerate_p_bases(p: int, visitor=None, node_budget: int | None = None) -> int:
-    """Visit every p-basis once in lexicographic order; returns the count."""
-    count = 0
-    for basis in iter_p_bases(p, node_budget=node_budget):
-        count += 1
-        if visitor is not None:
-            visitor(basis)
-    return count
+def enumerate_p_bases(p: int, node_budget: int | None = None) -> int:
+    """Number of p-bases, counted in one walk without building them."""
+    return sum(1 for _ in BasisDFS(p, p - 1, node_budget=node_budget))
 
 
 def classify_basis(basis: Basis, p: int) -> PBasisRecord:
@@ -388,8 +378,7 @@ def classify_basis(basis: Basis, p: int) -> PBasisRecord:
 def iter_classified(p: int, node_budget: int | None = None):
     """PBasisRecord stream over all p-bases (fast incremental classification)."""
     dfs = BasisDFS(p, p - 1, node_budget=node_budget)
-    for elems in dfs:
-        ext, sym = classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p)
+    for elems, ext, sym in _classified(dfs, p):
         yield PBasisRecord(
             basis=Basis(elems),
             p=p,
@@ -415,19 +404,35 @@ class ClassStats:
         return 100.0 * self.n_s / self.n_e if self.n_e else 0.0
 
 
-def _count_classes(dfs: BasisDFS, p: int) -> tuple[int, int, int]:
-    n_p = n_e = n_s = 0
+def _tail_rows(dfs: BasisDFS, p: int) -> Counter:
+    """Leaves of the walk per key 3 * tail + extensible + symmetricisable.
+
+    A symmetricisable basis is always extensible, so key % 3 is 0 for
+    neither, 1 for extensible only and 2 for both.
+    """
+    rows = Counter()
     for elems in dfs:
-        n_p += 1
         ext, sym = classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p)
-        n_e += ext
-        n_s += sym
-    return n_p, n_e, n_s
+        rows[3 * elems[-1] + ext + sym] += 1
+    return rows
 
 
-def _classify_subtree(args) -> tuple[int, int, int]:
-    p, prefix = args
-    return _count_classes(_subtree_dfs(p, p - 1, p - 1, prefix), p)
+def _tail_counts(p: int, threads: int = 1, node_budget: int | None = None) -> Counter:
+    """`_tail_rows` over all p-bases: one walk, or one pooled walk per subtree."""
+    _reject_budget_with_threads(threads, node_budget)
+    if threads <= 1:
+        return _tail_rows(BasisDFS(p, p - 1, node_budget=node_budget), p)
+    prefixes = subtree_prefixes(p, p - 1, p - 1, _split_depth(p))
+    with multiprocessing.Pool(threads) as pool:
+        parts = pool.map(_subtree_fold, [(_tail_rows, p, p - 1, pre) for pre in prefixes])
+    return sum(parts, Counter())
+
+
+def _class_counts(rows: Counter, tails) -> tuple[int, int, int]:
+    """(n_p, n_e, n_s) of a `_tail_rows` tally, summed over `tails`."""
+    n_s = sum(rows[3 * t + 2] for t in tails)
+    n_e = n_s + sum(rows[3 * t + 1] for t in tails)
+    return n_e + sum(rows[3 * t] for t in tails), n_e, n_s
 
 
 def _reject_budget_with_threads(threads: int, node_budget: int | None) -> None:
@@ -438,17 +443,8 @@ def _reject_budget_with_threads(threads: int, node_budget: int | None) -> None:
 
 def classify(p: int, threads: int = 1, node_budget: int | None = None) -> ClassStats:
     """Counts (n_p, n_e, n_s) of all / extensible / symmetricisable p-bases."""
-    _reject_budget_with_threads(threads, node_budget)
-    if threads <= 1:
-        dfs = BasisDFS(p, p - 1, node_budget=node_budget)
-        n_p, n_e, n_s = _count_classes(dfs, p)
-        return ClassStats(p=p, n_p=n_p, n_e=n_e, n_s=n_s)
-    prefixes = subtree_prefixes(p, p - 1, p - 1, _split_depth(p))
-    with multiprocessing.Pool(threads) as pool:
-        parts = pool.map(_classify_subtree, [(p, pre) for pre in prefixes])
-    n_p = sum(a for a, _, _ in parts)
-    n_e = sum(b for _, b, _ in parts)
-    n_s = sum(c for _, _, c in parts)
+    rows = _tail_counts(p, threads, node_budget)
+    n_p, n_e, n_s = _class_counts(rows, {key // 3 for key in rows})
     return ClassStats(p=p, n_p=n_p, n_e=n_e, n_s=n_s)
 
 
@@ -476,31 +472,24 @@ def range_comparison_stats(p: int, node_budget: int | None = None) -> RangeCompa
     return RangeComparison(p=p, below=below, equal=equal, above=above)
 
 
+def _plus_basis_record(elems, p, depth, ext, sym) -> PlusBasisRecord:
+    return PlusBasisRecord(
+        basis=Basis(elems),
+        p=p,
+        a_p=elems[p - 1],
+        comparison_tail=elems[-1] - depth * p,
+        extensible=ext,
+        symmetricisable=sym,
+    )
+
+
 def iter_p_plus(p: int, depth: int = 1, node_budget: int | None = None):
     """PlusBasisRecord stream: p-bases with `depth` extra free elements."""
     dfs = BasisDFS(
         p, p - 1 + depth, constrained=p - 1, node_budget=node_budget
     )
-    for elems in dfs:
-        ext, sym = classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p)
-        yield PlusBasisRecord(
-            basis=Basis(elems),
-            p=p,
-            a_p=elems[p - 1],
-            comparison_tail=elems[-1] - depth * p,
-            extensible=ext,
-            symmetricisable=sym,
-        )
-
-
-def enumerate_p_plus(p: int, visitor=None) -> int:
-    """Visit every p+-basis (one free element) with its classification flags."""
-    count = 0
-    for record in iter_p_plus(p, depth=1):
-        count += 1
-        if visitor is not None:
-            visitor(record)
-    return count
+    for elems, ext, sym in _classified(dfs, p):
+        yield _plus_basis_record(elems, p, depth, ext, sym)
 
 
 @dataclass(frozen=True)
@@ -523,37 +512,25 @@ def plus_depth_search(
     if depth < 1:
         raise PreconditionError(f"depth must be >= 1, got {depth}")
     records = []
-    dfs = BasisDFS(p, p - 1 + depth, constrained=p - 1, node_budget=node_budget)
-    try:
-        for elems in dfs:
-            ext, sym = classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p)
-            if sym:
-                records.append(
-                    PlusBasisRecord(
-                        basis=Basis(elems),
-                        p=p,
-                        a_p=elems[p - 1],
-                        comparison_tail=elems[-1] - depth * p,
-                        extensible=ext,
-                        symmetricisable=sym,
-                    )
-                )
-    except BudgetExceededError as err:
-        err.partial = DepthSearchResult(
+
+    def result(visited: int) -> DepthSearchResult:
+        return DepthSearchResult(
             p=p,
             depth=depth,
             records=tuple(records),
             max_tail=max((r.comparison_tail for r in records), default=None),
-            visited=err.visited,
+            visited=visited,
         )
+
+    dfs = BasisDFS(p, p - 1 + depth, constrained=p - 1, node_budget=node_budget)
+    try:
+        for elems, ext, sym in _classified(dfs, p):
+            if sym:
+                records.append(_plus_basis_record(elems, p, depth, ext, sym))
+    except BudgetExceededError as err:
+        err.partial = result(err.visited)
         raise
-    return DepthSearchResult(
-        p=p,
-        depth=depth,
-        records=tuple(records),
-        max_tail=max((r.comparison_tail for r in records), default=None),
-        visited=dfs.visited,
-    )
+    return result(dfs.visited)
 
 
 @dataclass(frozen=True)
@@ -569,15 +546,10 @@ class TailDistribution:
 
 
 def tail_distribution(p: int, node_budget: int | None = None) -> TailDistribution:
-    counts: dict[int, list[int]] = {}
-    for rec in iter_classified(p, node_budget=node_budget):
-        row = counts.setdefault(rec.tail, [0, 0, 0])
-        row[0] += 1
-        row[1] += rec.extensible
-        row[2] += rec.symmetricisable
-    v1 = max(counts)
+    counts = _tail_counts(p, node_budget=node_budget)
     rows = tuple(
-        (tail, *counts.get(tail, (0, 0, 0))) for tail in range(p - 1, v1 + 1)
+        (tail, *_class_counts(counts, (tail,)))
+        for tail in range(p - 1, max(counts) // 3 + 1)
     )
     return TailDistribution(p=p, rows=rows)
 
@@ -600,15 +572,15 @@ class MaximaRecord:
 
 
 def maxima_record(p: int, node_budget: int | None = None) -> MaximaRecord:
-    v1 = v2 = 0
-    for rec in iter_classified(p, node_budget=node_budget):
-        v1 = max(v1, rec.tail)
-        if rec.extensible:
-            v2 = max(v2, rec.tail)
-    return MaximaRecord(p=p, v1=v1, v2=v2)
+    rows = _tail_counts(p, node_budget=node_budget)
+    v2 = max((key // 3 for key in rows if key % 3), default=0)
+    return MaximaRecord(p=p, v1=max(rows, default=0) // 3, v2=v2)
 
 
 # --- streaming enumeration with checkpoints -------------------------------
+
+_COUNT_KEYS = ("count", "n_e", "n_s")
+
 
 def save_checkpoint(path: str, state: dict) -> None:
     """Write-new-then-rename so a crash never leaves a torn checkpoint."""
@@ -628,48 +600,51 @@ def load_checkpoint(path: str) -> dict:
         raise PreconditionError(f"cannot read checkpoint {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"checkpoint {path!r} is not valid JSON") from exc
+    if not isinstance(state, dict):
+        raise PreconditionError(f"checkpoint {path!r} does not hold a JSON object")
     for key in ("p", "prefix", "cursors", "visited", "partial_stats"):
         if key not in state:
             raise PreconditionError(f"checkpoint is missing field {key!r}")
+    if not isinstance(state["partial_stats"], dict):
+        raise PreconditionError("checkpoint field 'partial_stats' is not an object")
     return state
 
 
-def _record_line(rec_dict: dict) -> str:
-    return json.dumps(rec_dict, separators=(",", ":"))
+def _resumed_counts(ckpt: dict, classify_records: bool) -> dict:
+    """The checkpoint's record counts, if a run could have reached them."""
+    stats = ckpt["partial_stats"]
+    counts = {"count": stats.get("count"), "n_e": stats.get("n_e", 0), "n_s": stats.get("n_s", 0)}
+    visited = ckpt["visited"]
+    if not (
+        all(type(v) is int for v in (*counts.values(), visited))
+        and 0 <= counts["n_s"] <= counts["n_e"] <= counts["count"] <= visited
+        and (classify_records or counts["n_e"] == 0)
+    ):
+        raise PreconditionError(
+            f"corrupt checkpoint counts {counts} after {visited!r} nodes: need "
+            "integers 0 <= n_s <= n_e <= count <= visited, and n_e = 0 unless classifying"
+        )
+    return counts
 
 
-def _plain_record(p, elems, classify_flags, flags) -> dict:
-    rec = {"p": p, "basis": list(elems), "tail": elems[-1]}
-    if classify_flags:
-        rec["extensible"], rec["symmetricisable"] = flags
-    return rec
-
-
-def _plus_record(p, elems, flags) -> dict:
-    return {
-        "p": p,
-        "basis": list(elems),
-        "tail": elems[-1] - p,
-        "extensible": flags[0],
-        "symmetricisable": flags[1],
-    }
-
-
-def _records_subtree(args) -> list[str]:
-    p, prefix, mode, classify_flags = args
-    total = p - 1 if mode == "plain" else p
-    dfs = _subtree_dfs(p, total, p - 1, prefix)
-    lines = []
+def _record_lines(dfs: BasisDFS, p: int, mode: str, classify_records: bool, counts: dict):
+    """One JSONL record per leaf; `counts` already includes a line when it is yielded."""
+    shift = p if mode == "plus" else 0  # a plus record's tail is a_p - p
     for elems in dfs:
-        if mode == "plus" or classify_flags:
-            flags = classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p)
-        else:
-            flags = None
-        if mode == "plain":
-            lines.append(_record_line(_plain_record(p, elems, classify_flags, flags)))
-        else:
-            lines.append(_record_line(_plus_record(p, elems, flags)))
-    return lines
+        rec = {"p": p, "basis": list(elems), "tail": elems[-1] - shift}
+        if classify_records:
+            ext, sym = classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p)
+            rec["extensible"], rec["symmetricisable"] = ext, sym
+            counts["n_e"] += ext
+            counts["n_s"] += sym
+        counts["count"] += 1
+        yield json.dumps(rec, separators=(",", ":"))
+
+
+def _records_subtree(dfs: BasisDFS, p: int, mode: str, classify_records: bool):
+    """(record lines, counts) of one subtree, for the parallel emitter."""
+    counts = dict.fromkeys(_COUNT_KEYS, 0)
+    return list(_record_lines(dfs, p, mode, classify_records, counts)), counts
 
 
 def run_enumeration(
@@ -699,7 +674,7 @@ def run_enumeration(
     _reject_budget_with_threads(threads, node_budget)
     total = p - 1 if mode == "plain" else p
 
-    counts = {"count": 0, "n_e": 0, "n_s": 0}
+    counts = dict.fromkeys(_COUNT_KEYS, 0)
     state = None
     if resume:
         if not checkpoint_path:
@@ -713,56 +688,32 @@ def run_enumeration(
             )
         if bool(stats.get("classify")) != bool(classify_records):
             raise PreconditionError("checkpoint classify flag does not match")
-        counts = {
-            "count": stats["count"],
-            "n_e": stats.get("n_e", 0),
-            "n_s": stats.get("n_s", 0),
-        }
+        counts = _resumed_counts(ckpt, classify_records)
         state = {k: ckpt[k] for k in ("p", "prefix", "cursors", "visited")}
-
-    def summary() -> dict:
-        out = {"p": p, "mode": mode}
-        key = "n_p" if mode == "plain" else "n_plus"
-        out[key] = counts["count"]
-        if classify_records:
-            out["n_e"] = counts["n_e"]
-            out["n_s"] = counts["n_s"]
-        return out
+    # built before the record file is opened, so a corrupt frontier leaves it as it was
+    dfs = None if threads > 1 else BasisDFS(
+        p, total, constrained=p - 1, state=state, node_budget=node_budget
+    )
 
     def emit_records(write):
-        if threads > 1:
+        if dfs is None:
             prefixes = subtree_prefixes(p, total, p - 1, _split_depth(p))
-            work = [(p, pre, mode, classify_records) for pre in prefixes]
+            work = [(_records_subtree, p, total, pre, mode, classify_records) for pre in prefixes]
             with multiprocessing.Pool(threads) as pool:
-                for lines in pool.imap(_records_subtree, work):
+                for lines, part in pool.imap(_subtree_fold, work):
                     for line in lines:
                         write(line)
-                        rec = json.loads(line)
-                        counts["count"] += 1
-                        counts["n_e"] += rec.get("extensible", False)
-                        counts["n_s"] += rec.get("symmetricisable", False)
+                    for key in _COUNT_KEYS:
+                        counts[key] += part[key]
             return
 
-        dfs = BasisDFS(
-            p, total, constrained=p - 1, state=state, node_budget=node_budget
-        )
         last_ckpt = dfs.visited
-        for elems in dfs:
-            if mode == "plus" or classify_records:
-                flags = classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p)
-            else:
-                flags = None
-            if mode == "plain":
-                rec = _plain_record(p, elems, classify_records, flags)
-            else:
-                rec = _plus_record(p, elems, flags)
-            write(_record_line(rec))
-            counts["count"] += 1
-            if flags is not None:
-                counts["n_e"] += flags[0]
-                counts["n_s"] += flags[1]
+        for line in _record_lines(dfs, p, mode, classify_records, counts):
+            write(line)
             if checkpoint_path and dfs.visited - last_ckpt >= checkpoint_every:
-                _write_ckpt(dfs, checkpoint_path, mode, classify_records, counts)
+                frontier = dfs.state()
+                frontier["partial_stats"] = {"mode": mode, "classify": bool(classify_records), **counts}
+                save_checkpoint(checkpoint_path, frontier)
                 last_ckpt = dfs.visited
         # a finished run needs no recovery point, and a stale one would
         # restore as a fresh traversal and duplicate every record
@@ -773,12 +724,11 @@ def run_enumeration(
                 pass
 
     if out_path is not None:
-        emitted_before = counts["count"]
         lines_kept = []
-        if resume and emitted_before:
+        if counts["count"]:  # resumed: keep the records the checkpoint covers
             with open(out_path, encoding="utf-8") as fh:
-                lines_kept = fh.read().splitlines()[:emitted_before]
-            if len(lines_kept) < emitted_before:
+                lines_kept = fh.read().splitlines()[:counts["count"]]
+            if len(lines_kept) < counts["count"]:
                 raise PreconditionError(
                     "record file is shorter than the checkpoint expects"
                 )
@@ -792,22 +742,8 @@ def run_enumeration(
 
             emit_records(write)
     else:
-        stream = out_stream
-
-        def write(line):
-            stream.write(line + "\n")
-
-        emit_records(write)
-    return summary()
-
-
-def _write_ckpt(dfs, path, mode, classify_records, counts) -> None:
-    state = dfs.state()
-    state["partial_stats"] = {
-        "mode": mode,
-        "classify": bool(classify_records),
-        "count": counts["count"],
-        "n_e": counts["n_e"],
-        "n_s": counts["n_s"],
-    }
-    save_checkpoint(path, state)
+        emit_records(lambda line: out_stream.write(line + "\n"))
+    summary = {"p": p, "mode": mode, "n_p" if mode == "plain" else "n_plus": counts["count"]}
+    if classify_records:
+        summary.update(n_e=counts["n_e"], n_s=counts["n_s"])
+    return summary

@@ -213,6 +213,40 @@ def test_enumerate_resume_rejects_corrupt_cursors(tmp_path, capsys):
     assert out.read_text() == ""
 
 
+def _stats(**changes):
+    return lambda ckpt: {**ckpt, "partial_stats": {**ckpt["partial_stats"], **changes}}
+
+
+@pytest.mark.parametrize("classify, corrupt", [
+    pytest.param(True, _stats(count="x"), id="count-string"),
+    pytest.param(True, _stats(n_e="y"), id="n_e-string"),
+    pytest.param(True, _stats(count=True), id="count-bool"),
+    pytest.param(True, _stats(count=None), id="count-null"),
+    pytest.param(True, _stats(count=-5), id="count-negative"),
+    pytest.param(True, _stats(n_s=99), id="n_s-above-n_e"),
+    pytest.param(True, _stats(n_e=10**6, n_s=0), id="n_e-above-count"),
+    pytest.param(True, lambda ckpt: _stats(count=ckpt["visited"] + 1)(ckpt),
+                 id="count-above-visited"),
+    pytest.param(False, _stats(n_e=1, n_s=1), id="flags-without-classify"),
+    pytest.param(True, lambda ckpt: {**ckpt, "partial_stats": 7}, id="stats-number"),
+    pytest.param(True, lambda ckpt: {**ckpt, "partial_stats": ["plain", 3]}, id="stats-list"),
+    pytest.param(True, lambda ckpt: 5, id="file-number"),
+    pytest.param(True, lambda ckpt: [ckpt], id="file-list"),
+])
+def test_enumerate_resume_rejects_corrupt_counts(tmp_path, capsys, classify, corrupt):
+    out = tmp_path / "p9.jsonl"
+    ckpt = tmp_path / "p9.ckpt"
+    argv = ["enumerate", "9", "--out", str(out), "--checkpoint", str(ckpt),
+            "--checkpoint-every", "20", *(["--classify"] if classify else [])]
+    assert run_cli(capsys, *argv, "--node-budget", "120")[0] == 3
+    ckpt.write_text(json.dumps(corrupt(json.loads(ckpt.read_text()))))
+    records = out.read_bytes()
+    code, out_text, err = run_cli(capsys, *argv, "--resume")
+    assert (code, out_text) == (2, "")
+    assert err.startswith("error:") and "checkpoint" in err
+    assert out.read_bytes() == records
+
+
 def test_enumerate_resume_without_checkpoint(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "enumerate", "8",
@@ -300,13 +334,38 @@ def test_tables_chart_series(capsys):
     assert lines[1] == "7,1"
 
 
-def test_threads_env_default(monkeypatch):
+def test_threads_env_default(monkeypatch, capsys):
     monkeypatch.setenv("STAMPBASE_THREADS", "4")
     args = cli.build_parser().parse_args(["enumerate", "9"])
     assert args.threads == 4
-    monkeypatch.setenv("STAMPBASE_THREADS", "not-a-number")
-    args = cli.build_parser().parse_args(["tables", "1"])
-    assert args.threads == 1
+    for bad in ("not-a-number", "0", "-3"):
+        monkeypatch.setenv("STAMPBASE_THREADS", bad)
+        code, out, err = run_cli(capsys, "tables", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: STAMPBASE_THREADS")
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "8", "--threads", "0"],
+    ["enumerate", "8", "--threads", "-3"],
+    ["tables", "1", "--threads", "0"],
+    ["enumerate", "8", "--checkpoint-every", "0"],
+    ["enumerate", "8", "--checkpoint-every", "-5"],
+    ["enumerate", "8", "--node-budget", "-1"],
+    ["tables", "1", "--node-budget", "-1"],
+])
+def test_meaningless_numbers_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"error: argument {argv[2]}: must be >= " in captured.err
+
+
+def test_zero_node_budget_is_a_budget(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "8", "--node-budget", "0")
+    assert (code, out) == (3, "")
+    assert err == "error: node budget exceeded: visited 1 > 0\n"
 
 
 def test_stohr_terms(capsys):

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from stampbase.extension import is_extensible
 from stampbase.search import (
     BasisDFS,
     BudgetExceededError,
+    MaximaRecord,
     classify,
     classify_basis,
     enumerate_p_bases,
@@ -97,9 +99,8 @@ def test_classification_counts(p, classified):
 
 
 def test_classify_threads_agree():
-    solo = classify(8, threads=1)
-    pooled = classify(8, threads=2)
-    assert (solo.n_p, solo.n_e, solo.n_s) == (pooled.n_p, pooled.n_e, pooled.n_s)
+    for p in (8, 11):
+        assert classify(p, threads=2) == classify(p, threads=1)
 
 
 @pytest.mark.parametrize("p", range(3, 11))
@@ -219,6 +220,18 @@ def test_tail_distribution():
     assert sum(r[1] for r in dist.rows) == CENSUS[8]
 
 
+@pytest.mark.parametrize("p", range(5, 11))
+def test_census_folds_match_records(p, classified):
+    rows = defaultdict(Counter)
+    for rec in classified[p]:
+        rows[rec.tail] += Counter(n_p=1, n_e=rec.extensible, n_s=rec.symmetricisable)
+    tails = range(p - 1, max(rows) + 1)
+    expected = tuple((t, rows[t]["n_p"], rows[t]["n_e"], rows[t]["n_s"]) for t in tails)
+    assert tail_distribution(p).rows == expected
+    v2 = max(t for t in rows if rows[t]["n_e"])
+    assert maxima_record(p) == MaximaRecord(p=p, v1=max(rows), v2=v2)
+
+
 @pytest.mark.parametrize("p, v1, v2", [(5, 7, 4), (10, 26, 19), (12, 35, 23)])
 def test_maxima_record(p, v1, v2):
     rec = maxima_record(p)
@@ -238,11 +251,14 @@ def test_run_enumeration_output(tmp_path):
 
 
 def test_run_enumeration_threads_byte_identical(tmp_path):
-    solo = tmp_path / "solo.jsonl"
-    pooled = tmp_path / "pooled.jsonl"
-    run_enumeration(8, classify_records=True, out_path=str(solo))
-    run_enumeration(8, classify_records=True, out_path=str(pooled), threads=2)
-    assert solo.read_bytes() == pooled.read_bytes()
+    # the pooled counts come from the workers, not from the lines written
+    for mode in ("plain", "plus"):
+        solo = tmp_path / f"solo-{mode}.jsonl"
+        pooled = tmp_path / f"pooled-{mode}.jsonl"
+        args = dict(mode=mode, classify_records=True)
+        summary = run_enumeration(8, out_path=str(solo), **args)
+        assert run_enumeration(8, out_path=str(pooled), threads=2, **args) == summary
+        assert solo.read_bytes() == pooled.read_bytes()
 
 
 def test_run_enumeration_plus_mode(tmp_path):
