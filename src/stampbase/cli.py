@@ -2,9 +2,10 @@
 
 Exit codes follow one convention everywhere: 0 for success (and for
 predicates that hold), 1 for a requested predicate that is false, 2 for
-usage, parse or precondition problems, 3 for an exceeded node budget, and
-141 (128 + SIGPIPE, as a shell reports a process killed by it) when the
-reader of stdout goes away early, as in ``stampbase enumerate 14 | head``.
+usage, parse or precondition problems and for files that cannot be opened,
+3 for an exceeded node budget, and 141 (128 + SIGPIPE, as a shell reports
+a process killed by it) when the reader of stdout goes away early, as in
+``stampbase enumerate 14 | head``.
 Table output is assembled in full before anything is written, so a budget
 abort never leaves a partial table behind.
 """
@@ -17,6 +18,7 @@ import io
 import json
 import os
 import sys
+from functools import partial
 
 from .basis import Basis, BasisError, PreconditionError, basis_range, is_p_basis
 from .extension import is_extensible, periodic_scan, stohr_sequence
@@ -117,20 +119,23 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _table_census(p_max, k_max, threads, budget):
+# A table builder maps the parsed `tables` arguments to (header, rows).  It calls
+# search and optimize through this module's globals, which the traced benchmark swaps.
+
+def _census(args):
     rows, prev = [], None
-    for p in range(3, p_max + 1):
-        n_p = enumerate_p_bases(p, node_budget=budget)
+    for p in range(3, args.p_max + 1):
+        n_p = enumerate_p_bases(p, node_budget=args.node_budget)
         ratio = "" if prev is None else f"{n_p / prev:.2f}"
         rows.append([p, n_p, ratio])
         prev = n_p
     return ["p", "n_p", "ratio"], rows
 
 
-def _table_comparison(p_max, k_max, threads, budget):
+def _range_comparison(args):
     rows = []
-    for p in range(3, p_max + 1):
-        st = range_comparison_stats(p, node_budget=budget)
+    for p in range(3, args.p_max + 1):
+        st = range_comparison_stats(p, node_budget=args.node_budget)
         total = st.below + st.equal + st.above
         rows.append([
             p,
@@ -144,134 +149,93 @@ def _table_comparison(p_max, k_max, threads, budget):
     )
 
 
-def _table_classification(p_max, k_max, threads, budget):
+def _classification(args):
     rows = []
-    for p in range(5, p_max + 1):
-        st = classify(p, threads=threads, node_budget=budget)
+    for p in range(5, args.p_max + 1):
+        st = classify(p, threads=args.threads, node_budget=args.node_budget)
         rows.append([p, st.n_p, st.n_e, st.n_s, _pct(st.pct_e), _pct(st.pct_s)])
     return ["p", "n_p", "n_e", "n_s", "pct_e", "pct_s"], rows
 
 
-def _maxima_rows(p_max, mode, budget):
+def _maximal_sets(mode, args):
     rows = []
-    for p in range(5, p_max + 1):
-        mset = maximal_symmetricisable(p, mode, node_budget=budget)
+    for p in range(5, args.p_max + 1):
+        mset = maximal_symmetricisable(p, mode, node_budget=args.node_budget)
         for basis in mset.bases:
             rows.append([p, mset.tail, " ".join(map(str, basis.elements))])
     return ["p", "tail", "basis"], rows
 
 
-def _table_maximal_plain(p_max, k_max, threads, budget):
-    return _maxima_rows(p_max, "plain", budget)
+def _closure_ranges(mode, args):
+    ps = list(range(5, args.p_max + 1))
+    return range_table(ps, args.k_max, mode=mode, node_budget=args.node_budget)
 
 
-def _table_maximal_plus(p_max, k_max, threads, budget):
-    return _maxima_rows(p_max, "plus", budget)
-
-
-def _build_range_table(p_max, k_max, mode, budget):
-    ps = list(range(5, p_max + 1))
-    return range_table(ps, k_max, mode=mode, node_budget=budget)
-
-
-def _range_rows(table):
-    header = ["k", "p", "range"]
-    rows = [
-        [k, p, table.entries[(k, p)]]
-        for (k, p) in sorted(table.entries)
+def _range_grid(mode, args):
+    table = _closure_ranges(mode, args)
+    if args.format == "wide":
+        ps = table.ps()
+        return ["k"] + [str(p) for p in ps], [
+            [k] + [table.entries.get((k, p), "") for p in ps] for k in table.ks()
+        ]
+    return ["k", "p", "range"], [
+        [k, p, table.entries[(k, p)]] for (k, p) in sorted(table.entries)
     ]
-    return header, rows
 
 
-def _range_rows_wide(table):
-    ps = table.ps()
-    header = ["k"] + [str(p) for p in ps]
-    rows = []
-    for k in table.ks():
-        rows.append([k] + [table.entries.get((k, p), "") for p in ps])
-    return header, rows
-
-
-def _segment_rows(table):
-    seg = best_segments(table)
+def _segments(mode, args):
+    seg = best_segments(_closure_ranges(mode, args))
     return ["k_min", "k_max", "range", "p"], [list(row) for row in seg.rows]
 
 
-def _table_distribution(p_max, k_max, threads, budget):
-    dist = tail_distribution(p_max, node_budget=budget)
-    return ["tail", "n_p", "n_e", "n_s"], [list(row) for row in dist.rows]
-
-
-def _table_maxima(p_max, k_max, threads, budget):
+def _tail_maxima(args):
     rows = []
-    for p in range(5, p_max + 1):
-        rec = maxima_record(p, node_budget=budget)
+    for p in range(5, args.p_max + 1):
+        rec = maxima_record(p, node_budget=args.node_budget)
         rows.append([p, rec.v1, rec.v2,
                      f"{rec.ratio_v1:.2f}", f"{rec.ratio_v2:.2f}"])
     return ["p", "v1", "v2", "v1_over_p", "v2_over_v1"], rows
 
 
-def _chart_series(p_max, which, budget):
-    dist = tail_distribution(p_max, node_budget=budget)
-    if which == 12:
-        return ["tail", "n_p"], [[t, n_p] for t, n_p, _, _ in dist.rows]
-    if which == 13:
-        return ["tail", "n_e", "n_s"], [[t, n_e, n_s] for t, _, n_e, n_s in dist.rows]
-    if which == 14:
-        return ["tail", "pct_e"], [
-            [t, _pct(100 * n_e / n_p if n_p else 0.0)]
-            for t, n_p, n_e, _ in dist.rows
-        ]
-    return ["tail", "pct_s"], [
-        [t, _pct(100 * n_s / n_e if n_e else 0.0)]
-        for t, _, n_e, n_s in dist.rows
-    ]
+def _tail_columns(columns, args):
+    rows, dist = [], tail_distribution(args.p_max, node_budget=args.node_budget)
+    for tail, n_p, n_e, n_s in dist.rows:
+        cells = {
+            "tail": tail, "n_p": n_p, "n_e": n_e, "n_s": n_s,
+            "pct_e": _pct(100 * n_e / n_p if n_p else 0.0),
+            "pct_s": _pct(100 * n_s / n_e if n_e else 0.0),
+        }
+        rows.append([cells[c] for c in columns])
+    return list(columns), rows
+
+
+_TABLES = {
+    1: _census,
+    2: _range_comparison,
+    3: _classification,
+    4: partial(_maximal_sets, "plain"),
+    5: partial(_range_grid, "plain"),
+    6: partial(_segments, "plain"),
+    7: partial(_maximal_sets, "plus"),
+    8: partial(_range_grid, "plus"),
+    9: partial(_segments, "plus"),
+    10: partial(_tail_columns, ("tail", "n_p", "n_e", "n_s")),
+    11: _tail_maxima,
+    12: partial(_tail_columns, ("tail", "n_p")),
+    13: partial(_tail_columns, ("tail", "n_e", "n_s")),
+    14: partial(_tail_columns, ("tail", "pct_e")),
+    15: partial(_tail_columns, ("tail", "pct_s")),
+}
 
 
 def cmd_tables(args) -> int:
-    which = args.which
-    p_max, k_max = args.p_max, args.k_max
-    threads, budget = args.threads, args.node_budget
-    if args.format == "wide" and which not in (5, 8):
+    if args.format == "wide" and args.which not in (5, 8):
         print("error: wide format applies to the range tables (5 and 8) only",
               file=sys.stderr)
         return 2
-    if which in (5, 6):
-        table = _build_range_table(p_max, k_max, "plain", budget)
-        if which == 5:
-            header, rows = (
-                _range_rows_wide(table) if args.format == "wide"
-                else _range_rows(table)
-            )
-        else:
-            header, rows = _segment_rows(table)
-    elif which in (8, 9):
-        table = _build_range_table(p_max, k_max, "plus", budget)
-        if which == 8:
-            header, rows = (
-                _range_rows_wide(table) if args.format == "wide"
-                else _range_rows(table)
-            )
-        else:
-            header, rows = _segment_rows(table)
-    elif which in (12, 13, 14, 15):
-        header, rows = _chart_series(p_max, which, budget)
-    else:
-        builder = {
-            1: _table_census,
-            2: _table_comparison,
-            3: _table_classification,
-            4: _table_maximal_plain,
-            7: _table_maximal_plus,
-            10: _table_distribution,
-            11: _table_maxima,
-        }[which]
-        header, rows = builder(p_max, k_max, threads, budget)
-
+    header, rows = _TABLES[args.which](args)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     text = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -335,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_tables = sub.add_parser("tables", help="emit a census or extremal table")
-    p_tables.add_argument("which", type=int, choices=range(1, 16),
+    p_tables.add_argument("which", type=int, choices=_TABLES,
                           help="table number")
     p_tables.add_argument("--p-max", type=int, default=DEFAULT_P_MAX,
                           dest="p_max")
@@ -368,18 +332,18 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # here, so a closed pipe is caught below and not at exit
         return code
-    except (BasisError, PreconditionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so caught before the clause below
         # whatever is still buffered goes nowhere, so the flush at exit is quiet
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except (BasisError, PreconditionError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except BudgetExceededError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -127,8 +127,12 @@ class BasisDFS:
     def _restore(self, state: dict) -> None:
         """Replay a saved frontier, rejecting any that no walk could reach."""
         p = self.p
-        prefix = list(state["prefix"])
-        cursors = list(state["cursors"])
+        prefix, cursors = state["prefix"], state["cursors"]
+        if not (isinstance(prefix, list) and isinstance(cursors, list)):
+            raise PreconditionError("corrupt state: prefix and cursors must be lists")
+        # every walk starts at the element 1, so no walk saves an empty prefix
+        if not prefix:
+            raise PreconditionError("corrupt state: empty prefix")
         visited = state.get("visited", len(prefix))
         if state.get("p", p) != p:
             raise PreconditionError(f"corrupt state: saved for p={state['p']}, not {p}")
@@ -161,7 +165,7 @@ class BasisDFS:
                     f"corrupt state: cursor {cursors[level]} at level {level} "
                     f"does not follow element {prefix[level + 1]}"
                 )
-        if prefix and not prefix[-1] < cursors[-1] <= frame[2] + 1:
+        if not prefix[-1] < cursors[-1] <= frame[2] + 1:
             raise PreconditionError(
                 f"corrupt state: last cursor {cursors[-1]} is outside "
                 f"({prefix[-1]}, n + 2 = {frame[2] + 1}]"

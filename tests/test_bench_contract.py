@@ -12,6 +12,7 @@ import importlib
 import inspect
 from pathlib import Path
 
+import stampbase.cli as cli
 import stampbase.search as search
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -80,13 +81,17 @@ def test_bench_keywords_are_accepted():
 UNUSED_BOUNDARIES = {"optimize.iter_classified", "optimize.iter_p_plus"}
 
 
-def test_traced_boundaries_exist():
+def _boundaries():
     tree = ast.parse((BENCH / "layers.py").read_text(encoding="utf-8"))
-    boundaries = next(
+    return next(
         ast.literal_eval(node.value) for node in tree.body
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "BOUNDARIES" for t in node.targets)
     )
+
+
+def test_traced_boundaries_exist():
+    boundaries = _boundaries()
     missing = {
         f"{module}.{name}" for module, name, _ in boundaries
         if not hasattr(importlib.import_module(f"stampbase.{module}"), name)
@@ -107,3 +112,24 @@ def test_parallel_paths_split_through_the_module_global(monkeypatch, tmp_path):
     search.classify(7, threads=2)
     search.run_enumeration(7, out_path=str(tmp_path / "p7.jsonl"), threads=2)
     assert len(calls) == 2
+
+
+def test_cli_calls_the_traced_boundaries_through_module_globals(monkeypatch, capsys):
+    # the tracer swaps cli.<name>; a table builder that bound one at import
+    # time would keep calling the original and lose that span
+    names = [name for module, name, _ in _boundaries() if module == "cli"]
+    calls = dict.fromkeys(names, 0)
+
+    def spy(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    for which in range(1, 16):
+        assert cli.main(["tables", str(which), "--p-max", "7"]) == 0
+    assert cli.main(["enumerate", "7"]) == 0
+    capsys.readouterr()
+    assert names and [name for name, n in calls.items() if n == 0] == []

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import shutil
@@ -7,9 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from stampbase import cli
+from stampbase import cli, maxima_record, range_table, tail_distribution
 
-from frozen import CENSUS, PERIODIC_SEEDS, PLAIN_SEGMENTS, STOHR_EXAMPLE
+from frozen import (
+    CENSUS, CLASSIFICATION, MAXIMAL_PLAIN, MAXIMAL_PLAIN_TAILS, MAXIMAL_PLUS,
+    MAXIMAL_PLUS_P12_COUNT, MAXIMAL_PLUS_TAILS, PERIODIC_SEEDS, PLAIN_GRID,
+    PLAIN_SEGMENTS, PLUS_SEGMENTS, RANGE_COMPARISON, STOHR_EXAMPLE,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -196,21 +202,23 @@ def test_enumerate_checkpoint_resume_round_trip(tmp_path, capsys):
     assert not ckpt.exists()
 
 
-def test_enumerate_resume_rejects_corrupt_cursors(tmp_path, capsys):
+@pytest.mark.parametrize("frontier", [
+    pytest.param({"prefix": [1, 3], "cursors": [0, 0]}, id="zero-cursors"),
+    pytest.param({"prefix": 5}, id="not-a-list"),
+    pytest.param({"prefix": [], "cursors": []}, id="empty"),
+])
+def test_enumerate_resume_rejects_corrupt_cursors(tmp_path, capsys, frontier):
     ckpt = tmp_path / "p8.ckpt"
     out = tmp_path / "p8.jsonl"
-    out.write_text("")
-    ckpt.write_text(json.dumps({
-        "p": 8, "prefix": [1, 3], "cursors": [0, 0], "visited": 2,
-        "partial_stats": {"mode": "plain", "classify": False, "count": 0},
-    }))
-    code, _, err = run_cli(
-        capsys, "enumerate", "8", "--out", str(out),
-        "--checkpoint", str(ckpt), "--resume",
-    )
-    assert code == 2
+    argv = ["enumerate", "8", "--out", str(out), "--checkpoint", str(ckpt),
+            "--checkpoint-every", "10"]
+    assert run_cli(capsys, *argv, "--node-budget", "40")[0] == 3
+    ckpt.write_text(json.dumps({**json.loads(ckpt.read_text()), **frontier}))
+    records = out.read_bytes()
+    code, out_text, err = run_cli(capsys, *argv, "--resume")
+    assert (code, out_text) == (2, "")
     assert "corrupt state" in err
-    assert out.read_text() == ""
+    assert out.read_bytes() == records
 
 
 def _stats(**changes):
@@ -255,6 +263,28 @@ def test_enumerate_resume_without_checkpoint(tmp_path, capsys):
     )
     assert code == 2
     assert "checkpoint" in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["enumerate", "9", "--out", "sub/o.jsonl"], id="record-dir-missing"),
+    pytest.param(["tables", "1", "--p-max", "8", "--out", "nodir/x.csv"], id="table-dir-missing"),
+    pytest.param(["enumerate", "9", "--out", "o.jsonl", "--checkpoint", "c.json",
+                  "--checkpoint-every", "10", "--resume"], id="record-file-deleted"),
+    pytest.param(["enumerate", "9", "--out", "."], id="out-is-a-directory"),
+    pytest.param(["enumerate", "9", "--out", "o.jsonl", "--checkpoint", "nodir/c.json",
+                  "--checkpoint-every", "10"], id="checkpoint-dir-missing"),
+])
+def test_unopenable_paths_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    resume = "--resume" in argv
+    if resume:  # a budget-aborted run, then its record file goes missing
+        assert run_cli(capsys, *argv[:-1], "--node-budget", "40")[0] == 3
+        os.remove("o.jsonl")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    if resume:
+        assert os.path.exists("c.json")
 
 
 def test_tables_census(capsys):
@@ -332,6 +362,84 @@ def test_tables_chart_series(capsys):
     lines = out.splitlines()
     assert lines[0] == "tail,n_p"
     assert lines[1] == "7,1"
+
+
+def _pct(num, den):
+    return f"{100 * num / den if den else 0.0:.1f}"
+
+
+def _expected_table(which, p_max, k_max):
+    """(header, rows) of table `which`, from tests/frozen.py or the library call behind it."""
+    ps = range(5, p_max + 1)
+    if which == 1:
+        return ["p", "n_p", "ratio"], [
+            [p, CENSUS[p], f"{CENSUS[p] / CENSUS[p - 1]:.2f}" if p > 3 else ""]
+            for p in range(3, p_max + 1)
+        ]
+    if which == 2:
+        rows = []
+        for p in range(3, p_max + 1):
+            below, equal, above = RANGE_COMPARISON[p]
+            total = below + equal + above
+            rows.append([p, below, _pct(below, total), equal, _pct(equal, total),
+                         above, _pct(above, total)])
+        return ["p", "below", "below_pct", "equal", "equal_pct", "above", "above_pct"], rows
+    if which == 3:
+        rows = []
+        for p in ps:
+            n_p, n_e, n_s = CLASSIFICATION[p]
+            rows.append([p, n_p, n_e, n_s, _pct(n_e, n_p), _pct(n_s, n_e)])
+        return ["p", "n_p", "n_e", "n_s", "pct_e", "pct_s"], rows
+    if which in (4, 7):
+        bases, tails = ((MAXIMAL_PLAIN, MAXIMAL_PLAIN_TAILS) if which == 4
+                        else (MAXIMAL_PLUS, MAXIMAL_PLUS_TAILS))
+        return ["p", "tail", "basis"], [
+            [p, tails[p], " ".join(map(str, basis))]
+            for p in ps if p in bases for basis in bases[p]
+        ]
+    if which in (5, 8):
+        table = range_table(list(ps), k_max, mode="plain" if which == 5 else "plus")
+        return ["k", "p", "range"], [[k, p, r] for (k, p), r in sorted(table.entries.items())]
+    if which in (6, 9):
+        segments = PLAIN_SEGMENTS if which == 6 else PLUS_SEGMENTS
+        return ["k_min", "k_max", "range", "p"], [list(row) for row in segments]
+    if which == 11:
+        rows = []
+        for p in ps:
+            rec = maxima_record(p)
+            rows.append([p, rec.v1, rec.v2, f"{rec.v1 / p:.2f}", f"{rec.v2 / rec.v1:.2f}"])
+        return ["p", "v1", "v2", "v1_over_p", "v2_over_v1"], rows
+    rows = tail_distribution(p_max).rows
+    return {
+        10: (["tail", "n_p", "n_e", "n_s"], [list(row) for row in rows]),
+        12: (["tail", "n_p"], [[t, n_p] for t, n_p, _, _ in rows]),
+        13: (["tail", "n_e", "n_s"], [[t, n_e, n_s] for t, _, n_e, n_s in rows]),
+        14: (["tail", "pct_e"], [[t, _pct(n_e, n_p)] for t, n_p, n_e, _ in rows]),
+        15: (["tail", "pct_s"], [[t, _pct(n_s, n_e)] for t, _, n_e, n_s in rows]),
+    }[which]
+
+
+@pytest.mark.parametrize("which", range(1, 16))
+def test_every_table(capsys, which):
+    # at the defaults, p <= 14 and k <= 40, where tests/frozen.py pins grids and segments
+    code, out, err = run_cli(capsys, "tables", str(which))
+    assert (code, err) == (0, "")
+    header, *rows = csv.reader(io.StringIO(out))
+    expected_header, expected_rows = _expected_table(
+        which, cli.DEFAULT_P_MAX, cli.DEFAULT_K_MAX,
+    )
+    assert header == expected_header
+    if which == 7:  # frozen.py pins the plus-mode ties at p = 12 by their count only
+        p12 = [row for row in rows if row[0] == "12"]
+        assert len(p12) == MAXIMAL_PLUS_P12_COUNT
+        assert {row[1] for row in p12} == {str(MAXIMAL_PLUS_TAILS[12])}
+        rows = [row for row in rows if row[0] != "12"]
+    if which == 5:  # frozen.py pins the printed cells of the plain grid
+        cells = {(int(k), int(p)): int(r) for k, p, r in rows}
+        for k, row in PLAIN_GRID.items():
+            for p, value in row.items():
+                assert cells.get((k, p)) == value, (k, p)
+    assert rows == [[str(x) for x in row] for row in expected_rows]
 
 
 def test_threads_env_default(monkeypatch, capsys):

@@ -147,9 +147,12 @@ def test_node_budget_needs_a_single_thread(tmp_path):
     (5, [1, 2, 5], [3, 6, 6]),  # residue 0
     (5, [1, 2, 4, 6], [3, 5, 7, 7]),  # residue 1 twice
     (8, [1, 3], [4, "5"]),  # not an integer
+    (8, 5, [2]),  # prefix not a list
+    (8, [1], None),  # cursors not a list
+    (8, [], []),  # empty frontier: every walk holds at least the element 1
 ], ids=["zero-cursors", "stale-cursor", "cursor-above-range", "skipping-cursor",
         "first-not-1", "above-range", "decreasing", "residue-0",
-        "repeated-residue", "not-int"])
+        "repeated-residue", "not-int", "prefix-not-list", "cursors-null", "empty"])
 def test_restore_rejects_corrupt_state(p, prefix, cursors):
     state = {"p": p, "prefix": prefix, "cursors": cursors}
     with pytest.raises(PreconditionError, match="corrupt state"):
