@@ -301,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables = sub.add_parser("tables", help="emit a census or extremal table")
     p_tables.add_argument("which", type=int, choices=_TABLES,
                           help="table number")
-    p_tables.add_argument("--p-max", type=int, default=DEFAULT_P_MAX,
+    p_tables.add_argument("--p-max", type=_int_at_least(3), default=DEFAULT_P_MAX,
                           dest="p_max")
-    p_tables.add_argument("--k-max", type=int, default=DEFAULT_K_MAX,
+    p_tables.add_argument("--k-max", type=_non_negative_int, default=DEFAULT_K_MAX,
                           dest="k_max")
     p_tables.add_argument("--format", choices=("csv", "wide"), default="csv")
     p_tables.add_argument("--out")

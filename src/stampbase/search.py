@@ -56,6 +56,10 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
         self.partial = partial  # whatever the caller had gathered, flagged partial
 
+    def __reduce__(self):
+        # the default rebuilds from the message alone, which __init__ cannot take
+        return type(self), (self.visited, self.budget, self.partial)
+
 
 class BasisDFS:
     """Iterative DFS over admissible prefixes with residue bookkeeping.
@@ -69,10 +73,14 @@ class BasisDFS:
     Every node counts towards `visited`, leaves included, but leaves are
     visited in a loop over the candidates of their parent rather than
     pushed as levels of their own; where one residue is left, those
-    candidates form an arithmetic progression with step p.  Setting
-    `floor` withholds the leaves whose last element is below it: they are
-    counted arithmetically, so `visited` and the node budget still see
-    them, but no tuple or coverage is built for them.
+    candidates form an arithmetic progression with step p.  Where the
+    leaves step by 1 or by p, their parents are not pushed either: the
+    grandparent counts each one in its own loop, and puts its element and
+    cursor on the stacks only while its leaves are yielded, so `state()`
+    reads as if every level were pushed.  Setting `floor` withholds the
+    leaves whose last element is below it: they are counted
+    arithmetically, so `visited` and the node budget still see them, but
+    no tuple or coverage is built for them.
     """
 
     def __init__(
@@ -202,40 +210,17 @@ class BasisDFS:
         cap = math.inf if self.node_budget is None else self.node_budget
         elems, cursors, frames = self._elems, self._cursors, self._frames
         min_height, leaf_parent = self.min_height, total - 1
+        # leaves step by 1 on a free level and by p where one residue is left;
+        # where they step, their parents are expanded in the grandparent's loop
+        step = 1 if constrained < total else p if total == p - 1 else 0
+        grandparent = total - 2 if step else 0  # no node has depth 0
+        inner = grandparent or leaf_parent  # shallower nodes push their children
         visited = self.visited
         while elems:
             depth = len(elems)
             cov, mask, limit, free = frames[-1]
             c = cursors[-1]
-            if depth == leaf_parent:
-                head = tuple(elems)
-                if depth >= constrained:
-                    cands = range(c, limit + 1)
-                elif free & (free - 1) == 0:  # one residue left
-                    c += (free.bit_length() - 1 - c) % p
-                    cands = range(c, limit + 1, p)
-                else:
-                    cands = [x for x in range(c, limit + 1) if (free >> (x % p)) & 1]
-                i, end = 0, len(cands)
-                while i < end:
-                    c = cands[i]
-                    if c < self.floor:
-                        j = bisect.bisect_left(cands, self.floor, i)
-                        visited += j - i
-                        if visited > cap:
-                            raise self._over_budget(visited)
-                        i = j
-                        continue
-                    visited += 1
-                    if visited > cap:
-                        raise self._over_budget(visited)
-                    self.visited = visited
-                    cursors[-1] = c + 1
-                    self.leaf_cov = cov | (mask << c) | (1 << (2 * c))
-                    self.leaf_mask = mask | (1 << c)
-                    yield head + (c,)
-                    i += 1
-            elif depth < total:
+            if depth < inner:
                 if depth < constrained:
                     # jump to the next candidate whose residue is still free
                     r = c % p
@@ -259,6 +244,72 @@ class BasisDFS:
                     if visited > cap:
                         raise self._over_budget(visited)
                     continue
+            elif depth < total:
+                # A grandparent expands its children, the leaf parents, here: one
+                # with no leaf at or above the floor is counted with its leaves,
+                # and one with such a leaf is on elems and cursors while its
+                # leaves are yielded.  A leaf parent on top of the stack (a
+                # restored frontier, or leaves that do not step) yields its own.
+                while True:
+                    if depth == leaf_parent:
+                        leaves = _leaf_candidates(c, limit, free, p, step)
+                        parent_cov, parent_mask = cov, mask
+                    else:
+                        if depth < constrained:  # the same residue jump as above
+                            r = c % p
+                            above = free >> r
+                            if above:
+                                c += (above & -above).bit_length() - 1
+                            else:
+                                c += p - r + (free & -free).bit_length() - 1
+                        if c > limit:
+                            break
+                        visited += 1
+                        parent_cov = cov | (mask << c) | (1 << (2 * c))
+                        leaves = _leaf_candidates(
+                            c + 1,
+                            ((~parent_cov) & (parent_cov + 1)).bit_length() - 1,
+                            free & ~(1 << (c % p)),
+                            p,
+                            step,
+                        )
+                        if not leaves or leaves[-1] < self.floor:
+                            visited += len(leaves)
+                            if visited <= cap:
+                                c += 1
+                                continue
+                        # a child with a leaf to yield, or the one over budget
+                        cursors[-1] = c + 1
+                        elems.append(c)
+                        cursors.append(c + 1)
+                        if visited > cap:
+                            raise self._over_budget(visited)
+                        parent_mask = mask | (1 << c)
+                    head = tuple(elems)
+                    i, end = 0, len(leaves)
+                    while i < end:
+                        leaf = leaves[i]
+                        if leaf < self.floor:
+                            j = bisect.bisect_left(leaves, self.floor, i)
+                            visited += j - i
+                            if visited > cap:
+                                raise self._over_budget(visited)
+                            i = j
+                            continue
+                        visited += 1
+                        if visited > cap:
+                            raise self._over_budget(visited)
+                        self.visited = visited
+                        cursors[-1] = leaf + 1
+                        self.leaf_cov = parent_cov | (parent_mask << leaf) | (1 << (2 * leaf))
+                        self.leaf_mask = parent_mask | (1 << leaf)
+                        yield head + (leaf,)
+                        i += 1
+                    if depth == leaf_parent:
+                        break
+                    elems.pop()
+                    cursors.pop()
+                    c += 1
             else:
                 # a leaf pushed as a level: total == 1, or a restored full prefix
                 leaf = tuple(elems)
@@ -274,6 +325,18 @@ class BasisDFS:
                 self.visited = visited
                 yield leaf
         self.visited = visited
+
+
+def _leaf_candidates(c: int, limit: int, free: int, p: int, step: int):
+    """A leaf parent's candidates from c up to its limit.
+
+    With a step of 1 (a free level) that is every value, and with a step of
+    p the values in the one residue class left.  With a step of 0 the
+    residues left in `free` are picked one by one.
+    """
+    if step:
+        return range(c + (free.bit_length() - 1 - c) % step, limit + 1, step)
+    return [x for x in range(c, limit + 1) if (free >> (x % p)) & 1]
 
 
 def _empty_frame(p: int) -> tuple[int, int, int, int]:
@@ -631,18 +694,32 @@ def _resumed_counts(ckpt: dict, classify_records: bool) -> dict:
     return counts
 
 
+# the end of a classified record, by extensible + symmetricisable (0, 1 or 2)
+_FLAGS = (
+    ',"extensible":false,"symmetricisable":false}',
+    ',"extensible":true,"symmetricisable":false}',
+    ',"extensible":true,"symmetricisable":true}',
+)
+
+
 def _record_lines(dfs: BasisDFS, p: int, mode: str, classify_records: bool, counts: dict):
-    """One JSONL record per leaf; `counts` already includes a line when it is yielded."""
+    """One JSONL line per leaf, newline included; `counts` already includes it when yielded.
+
+    A line holds the bytes of `json.dumps(record, separators=(",", ":"))`
+    for the keys p, basis, tail and, when classifying, extensible and
+    symmetricisable, but is formatted directly.
+    """
     shift = p if mode == "plus" else 0  # a plus record's tail is a_p - p
+    head = f'{{"p":{p},"basis":['
+    end = "}"
     for elems in dfs:
-        rec = {"p": p, "basis": list(elems), "tail": elems[-1] - shift}
         if classify_records:
             ext, sym = classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p)
-            rec["extensible"], rec["symmetricisable"] = ext, sym
             counts["n_e"] += ext
             counts["n_s"] += sym
+            end = _FLAGS[ext + sym]  # a symmetricisable basis is extensible
         counts["count"] += 1
-        yield json.dumps(rec, separators=(",", ":"))
+        yield f'{head}{",".join(map(str, elems))}],"tail":{elems[-1] - shift}{end}\n'
 
 
 def _records_subtree(dfs: BasisDFS, p: int, mode: str, classify_records: bool):
@@ -699,29 +776,32 @@ def run_enumeration(
         p, total, constrained=p - 1, state=state, node_budget=node_budget
     )
 
-    def emit_records(write):
+    def emit_records(write, flush):
+        """Write the records, flushing only before each checkpoint and at the end."""
         if dfs is None:
             prefixes = subtree_prefixes(p, total, p - 1, _split_depth(p))
             work = [(_records_subtree, p, total, pre, mode, classify_records) for pre in prefixes]
             with multiprocessing.Pool(threads) as pool:
                 for lines, part in pool.imap(_subtree_fold, work):
-                    for line in lines:
-                        write(line)
+                    write("".join(lines))
                     for key in _COUNT_KEYS:
                         counts[key] += part[key]
             return
 
-        last_ckpt = dfs.visited
+        due = dfs.visited + checkpoint_every if checkpoint_path else math.inf
         for line in _record_lines(dfs, p, mode, classify_records, counts):
             write(line)
-            if checkpoint_path and dfs.visited - last_ckpt >= checkpoint_every:
+            if dfs.visited >= due:
+                flush()  # a checkpoint never counts a line that is not in the file
                 frontier = dfs.state()
                 frontier["partial_stats"] = {"mode": mode, "classify": bool(classify_records), **counts}
                 save_checkpoint(checkpoint_path, frontier)
-                last_ckpt = dfs.visited
+                due = dfs.visited + checkpoint_every
         # a finished run needs no recovery point, and a stale one would
-        # restore as a fresh traversal and duplicate every record
+        # restore as a fresh traversal and duplicate every record; the file
+        # gets every record before the recovery point goes
         if checkpoint_path:
+            flush()
             try:
                 os.remove(checkpoint_path)
             except FileNotFoundError:
@@ -739,14 +819,9 @@ def run_enumeration(
         with open(out_path, "w", encoding="utf-8") as fh:
             for line in lines_kept:
                 fh.write(line + "\n")
-
-            def write(line):
-                fh.write(line + "\n")
-                fh.flush()
-
-            emit_records(write)
+            emit_records(fh.write, fh.flush)
     else:
-        emit_records(lambda line: out_stream.write(line + "\n"))
+        emit_records(out_stream.write, lambda: None)
     summary = {"p": p, "mode": mode, "n_p" if mode == "plain" else "n_plus": counts["count"]}
     if classify_records:
         summary.update(n_e=counts["n_e"], n_s=counts["n_s"])

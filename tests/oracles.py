@@ -67,23 +67,19 @@ def brute_closure(origin, p: int, m: int):
     return tuple(sorted(tuple(origin) + tuple(ext) + tuple(mirror)))
 
 
-def search_tree(p: int, total: int, constrained: int):
-    """Leaves and node count of the p-basis search tree, by plain recursion.
+def search_nodes(p: int, total: int, constrained: int):
+    """Every node of the p-basis search tree, in depth-first order, by plain recursion.
 
     A node is a prefix 1 = a_1 < ... < a_t in which each element is at
     most n(previous prefix) + 1, and the first `constrained` elements have
-    distinct nonzero residues mod p.  Leaves are the nodes with `total`
-    elements; they come out in lexicographic order, and every node,
-    leaves included, counts once.
+    distinct nonzero residues mod p.  Children come in increasing order,
+    and the tree stops at `total` elements.
     """
-    leaves = []
-    visited = 0
+    nodes = []
 
     def grow(prefix):
-        nonlocal visited
-        visited += 1
+        nodes.append(tuple(prefix))
         if len(prefix) == total:
-            leaves.append(tuple(prefix))
             return
         residues = {a % p for a in prefix}
         for c in range(prefix[-1] + 1, brute_range(prefix) + 2):
@@ -92,4 +88,10 @@ def search_tree(p: int, total: int, constrained: int):
             grow(prefix + [c])
 
     grow([1])
-    return leaves, visited
+    return nodes
+
+
+def search_tree(p: int, total: int, constrained: int):
+    """Leaves (the nodes with `total` elements, in lexicographic order) and node count."""
+    nodes = search_nodes(p, total, constrained)
+    return [n for n in nodes if len(n) == total], len(nodes)

@@ -470,6 +470,17 @@ def test_meaningless_numbers_rejected(capsys, argv):
     assert f"error: argument {argv[2]}: must be >= " in captured.err
 
 
+@pytest.mark.parametrize("which", range(1, 16))
+@pytest.mark.parametrize("option, value, floor", [("--p-max", "2", 3), ("--k-max", "-1", 0)])
+def test_tables_size_limits_rejected(capsys, which, option, value, floor):
+    # a p below 3 has no p-bases, and no table has a negative k
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tables", str(which), option, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"error: argument {option}: must be >= {floor}, got {value}" in captured.err
+
+
 def test_zero_node_budget_is_a_budget(capsys):
     code, out, err = run_cli(capsys, "enumerate", "8", "--node-budget", "0")
     assert (code, out) == (3, "")

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import tempfile
 from collections import Counter, defaultdict
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stampbase import search
 from stampbase.basis import Basis, PreconditionError, basis_range, coverage
 from stampbase.extension import is_extensible
 from stampbase.search import (
@@ -30,7 +32,7 @@ from stampbase.search import (
 from stampbase.symmetric import is_symmetricisable_plus
 
 from frozen import CENSUS, CLASSIFICATION, RANGE_COMPARISON
-from oracles import brute_range, naive_p_bases, search_tree
+from oracles import brute_range, naive_p_bases, search_nodes, search_tree
 
 
 @pytest.mark.parametrize("p", range(3, 11))
@@ -55,6 +57,22 @@ def test_dfs_matches_recursive_walk(p, extra):
         assert dfs.leaf_n == brute_range(elems)
         leaves.append(elems)
     assert (leaves, dfs.visited) == search_tree(p, total, p - 1)
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
+@pytest.mark.parametrize("p", range(3, 11))
+def test_frontier_restores_at_every_yield(p, extra):
+    # leaf parents are expanded in their parent's loop, yet every frontier
+    # saved at a yield must restore to the rest of the walk
+    total = p - 1 + extra
+    leaves, visited = search_tree(p, total, p - 1)
+    dfs = BasisDFS(p, total, constrained=p - 1)
+    for i, elems in enumerate(dfs):
+        assert elems == leaves[i]
+        resumed = BasisDFS(p, total, constrained=p - 1, state=dfs.state())
+        assert list(resumed) == leaves[i + 1:]
+        assert resumed.visited == visited
+    assert dfs.visited == visited
 
 
 @pytest.mark.parametrize("p, total", [(8, 1), (8, 2), (8, 3), (9, 4), (6, 4)])
@@ -159,11 +177,45 @@ def test_restore_rejects_corrupt_state(p, prefix, cursors):
         BasisDFS(p, p - 1, state=state)
 
 
+@pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
+@pytest.mark.parametrize("p", range(3, 10))
+def test_budget_trip_state_holds_the_node_over_budget(p, extra):
+    # the frontier a budget leaves names the node it stopped at (its parent
+    # for a leaf), whether or not that level was pushed as a frame
+    total = p - 1 + extra
+    nodes = search_nodes(p, total, p - 1)
+    for budget in range(1, len(nodes)):
+        dfs = BasisDFS(p, total, constrained=p - 1, node_budget=budget)
+        with pytest.raises(BudgetExceededError) as err:
+            list(dfs)
+        assert err.value.visited == dfs.visited == budget + 1
+        node = nodes[budget]
+        prefix = node if len(node) < total else node[:-1]
+        previous = nodes[budget - 1]
+        if len(node) == total and previous[:-1] == prefix and len(previous) == total:
+            last = previous[-1] + 1  # the sibling leaf yielded before it
+        else:
+            last = prefix[-1] + 1
+        cursors = [c + 1 for c in prefix[1:]] + [last]
+        assert dfs.state() == {"p": p, "prefix": list(prefix), "cursors": cursors,
+                               "visited": budget + 1}
+
+
 def test_budget_abort_reports_node_counts():
     with pytest.raises(BudgetExceededError) as err:
         enumerate_p_bases(10, node_budget=50)
     assert err.value.budget == 50
     assert err.value.visited == 51
+
+
+@pytest.mark.parametrize("partial", [None, {"records": (1, 2), "max_tail": 15}])
+def test_budget_error_pickles(partial):
+    # a pool worker's error crosses back to the parent pickled
+    err = BudgetExceededError(501, 500, partial)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is BudgetExceededError
+    assert (back.visited, back.budget, back.partial) == (501, 500, partial)
+    assert str(back) == str(err) == "node budget exceeded: visited 501 > 500"
 
 
 def test_classify_basis_agrees_with_fast_path(classified):
@@ -251,6 +303,38 @@ def test_run_enumeration_output(tmp_path):
     assert len(lines) == 6
     first = json.loads(lines[0])
     assert set(first) == {"p", "basis", "tail", "extensible", "symmetricisable"}
+
+
+@pytest.mark.parametrize("classify_records", [False, True], ids=["bare", "classify"])
+@pytest.mark.parametrize("mode", ["plain", "plus"])
+@pytest.mark.parametrize("p", range(5, 12))
+def test_record_lines_are_compact_json(tmp_path, monkeypatch, p, mode, classify_records):
+    out, ckpt = tmp_path / "r.jsonl", tmp_path / "r.ckpt"
+    saved, save_checkpoint = [], search.save_checkpoint
+
+    def spy(path, state):
+        # lines go out unflushed, but each checkpoint finds its count in the file
+        text = out.read_text(encoding="utf-8")
+        count = state["partial_stats"]["count"]
+        assert text.count("\n") == count and text.endswith("\n")
+        saved.append(count)
+        save_checkpoint(path, state)
+
+    monkeypatch.setattr(search, "save_checkpoint", spy)
+    summary = run_enumeration(
+        p, mode=mode, classify_records=classify_records, out_path=str(out),
+        checkpoint_path=str(ckpt), checkpoint_every=p,
+    )
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == summary["n_p" if mode == "plain" else "n_plus"]
+    assert saved and saved == sorted(saved) and saved[-1] <= len(lines)
+    keys = ["p", "basis", "tail"]
+    if classify_records or mode == "plus":
+        keys += ["extensible", "symmetricisable"]
+    for line in lines:
+        rec = json.loads(line)
+        assert line == json.dumps(rec, separators=(",", ":"))
+        assert list(rec) == keys
 
 
 def test_run_enumeration_threads_byte_identical(tmp_path):
