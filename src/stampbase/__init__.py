@@ -51,11 +51,8 @@ from .search import (
     classify,
     classify_basis,
     enumerate_p_bases,
-    iter_classified,
     iter_p_bases,
-    iter_p_plus,
     maxima_record,
-    plus_depth_search,
     range_comparison_stats,
     run_enumeration,
     tail_distribution,

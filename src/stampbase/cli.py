@@ -119,12 +119,13 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-# A table builder maps the parsed `tables` arguments to (header, rows).  It calls
-# search and optimize through this module's globals, which the traced benchmark swaps.
+# A table builder maps its range of p and the parsed `tables` arguments to (header,
+# rows).  It calls search and optimize through this module's globals, which the
+# traced benchmark swaps.
 
-def _census(args):
+def _census(ps, args):
     rows, prev = [], None
-    for p in range(3, args.p_max + 1):
+    for p in ps:
         n_p = enumerate_p_bases(p, node_budget=args.node_budget)
         ratio = "" if prev is None else f"{n_p / prev:.2f}"
         rows.append([p, n_p, ratio])
@@ -132,9 +133,9 @@ def _census(args):
     return ["p", "n_p", "ratio"], rows
 
 
-def _range_comparison(args):
+def _range_comparison(ps, args):
     rows = []
-    for p in range(3, args.p_max + 1):
+    for p in ps:
         st = range_comparison_stats(p, node_budget=args.node_budget)
         total = st.below + st.equal + st.above
         rows.append([
@@ -149,30 +150,29 @@ def _range_comparison(args):
     )
 
 
-def _classification(args):
+def _classification(ps, args):
     rows = []
-    for p in range(5, args.p_max + 1):
+    for p in ps:
         st = classify(p, threads=args.threads, node_budget=args.node_budget)
         rows.append([p, st.n_p, st.n_e, st.n_s, _pct(st.pct_e), _pct(st.pct_s)])
     return ["p", "n_p", "n_e", "n_s", "pct_e", "pct_s"], rows
 
 
-def _maximal_sets(mode, args):
+def _maximal_sets(mode, ps, args):
     rows = []
-    for p in range(5, args.p_max + 1):
+    for p in ps:
         mset = maximal_symmetricisable(p, mode, node_budget=args.node_budget)
         for basis in mset.bases:
             rows.append([p, mset.tail, " ".join(map(str, basis.elements))])
     return ["p", "tail", "basis"], rows
 
 
-def _closure_ranges(mode, args):
-    ps = list(range(5, args.p_max + 1))
-    return range_table(ps, args.k_max, mode=mode, node_budget=args.node_budget)
+def _closure_ranges(mode, ps, args):
+    return range_table(list(ps), args.k_max, mode=mode, node_budget=args.node_budget)
 
 
-def _range_grid(mode, args):
-    table = _closure_ranges(mode, args)
+def _range_grid(mode, ps, args):
+    table = _closure_ranges(mode, ps, args)
     if args.format == "wide":
         ps = table.ps()
         return ["k"] + [str(p) for p in ps], [
@@ -183,21 +183,21 @@ def _range_grid(mode, args):
     ]
 
 
-def _segments(mode, args):
-    seg = best_segments(_closure_ranges(mode, args))
+def _segments(mode, ps, args):
+    seg = best_segments(_closure_ranges(mode, ps, args))
     return ["k_min", "k_max", "range", "p"], [list(row) for row in seg.rows]
 
 
-def _tail_maxima(args):
+def _tail_maxima(ps, args):
     rows = []
-    for p in range(5, args.p_max + 1):
+    for p in ps:
         rec = maxima_record(p, node_budget=args.node_budget)
         rows.append([p, rec.v1, rec.v2,
                      f"{rec.ratio_v1:.2f}", f"{rec.ratio_v2:.2f}"])
     return ["p", "v1", "v2", "v1_over_p", "v2_over_v1"], rows
 
 
-def _tail_columns(columns, args):
+def _tail_columns(columns, ps, args):
     rows, dist = [], tail_distribution(args.p_max, node_budget=args.node_budget)
     for tail, n_p, n_e, n_s in dist.rows:
         cells = {
@@ -209,22 +209,23 @@ def _tail_columns(columns, args):
     return list(columns), rows
 
 
+# table number: (the first p of its rows, builder); the tail columns take --p-max alone
 _TABLES = {
-    1: _census,
-    2: _range_comparison,
-    3: _classification,
-    4: partial(_maximal_sets, "plain"),
-    5: partial(_range_grid, "plain"),
-    6: partial(_segments, "plain"),
-    7: partial(_maximal_sets, "plus"),
-    8: partial(_range_grid, "plus"),
-    9: partial(_segments, "plus"),
-    10: partial(_tail_columns, ("tail", "n_p", "n_e", "n_s")),
-    11: _tail_maxima,
-    12: partial(_tail_columns, ("tail", "n_p")),
-    13: partial(_tail_columns, ("tail", "n_e", "n_s")),
-    14: partial(_tail_columns, ("tail", "pct_e")),
-    15: partial(_tail_columns, ("tail", "pct_s")),
+    1: (3, _census),
+    2: (3, _range_comparison),
+    3: (5, _classification),
+    4: (5, partial(_maximal_sets, "plain")),
+    5: (5, partial(_range_grid, "plain")),
+    6: (5, partial(_segments, "plain")),
+    7: (5, partial(_maximal_sets, "plus")),
+    8: (5, partial(_range_grid, "plus")),
+    9: (5, partial(_segments, "plus")),
+    10: (3, partial(_tail_columns, ("tail", "n_p", "n_e", "n_s"))),
+    11: (5, _tail_maxima),
+    12: (3, partial(_tail_columns, ("tail", "n_p"))),
+    13: (3, partial(_tail_columns, ("tail", "n_e", "n_s"))),
+    14: (3, partial(_tail_columns, ("tail", "pct_e"))),
+    15: (3, partial(_tail_columns, ("tail", "pct_s"))),
 }
 
 
@@ -233,7 +234,12 @@ def cmd_tables(args) -> int:
         print("error: wide format applies to the range tables (5 and 8) only",
               file=sys.stderr)
         return 2
-    header, rows = _TABLES[args.which](args)
+    first_p, builder = _TABLES[args.which]
+    if args.p_max < first_p:  # the table would be its header alone
+        print(f"error: table {args.which} starts at p = {first_p}; "
+              f"--p-max must be >= {first_p}, got {args.p_max}", file=sys.stderr)
+        return 2
+    header, rows = builder(range(first_p, args.p_max + 1), args)
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     text = buf.getvalue()

@@ -17,7 +17,7 @@ makes three facilities cheap:
   level) serialized to a small JSON checkpoint,
 * deterministic subtree partitioning for data-parallel runs (workers get
   disjoint prefixes in lexicographic order and results merge in order),
-* node budgets that abort runaway searches with partial results flagged.
+* node budgets that abort runaway searches.
 
 Plus-mode searches reuse the same engine with extra residue-free levels:
 a p+-basis carries one free element a_p <= n(A_{p-1}) + 1 on top of a
@@ -44,21 +44,17 @@ from .basis import (
 from .extension import is_extensible
 from .symmetric import closure_admissible_at, closure_profile
 
-DEFAULT_NODE_BUDGET = 10**9
-
-
 class BudgetExceededError(RuntimeError):
     """The search visited more nodes than the configured budget allows."""
 
-    def __init__(self, visited: int, budget: int, partial=None):
+    def __init__(self, visited: int, budget: int):
         super().__init__(f"node budget exceeded: visited {visited} > {budget}")
         self.visited = visited
         self.budget = budget
-        self.partial = partial  # whatever the caller had gathered, flagged partial
 
     def __reduce__(self):
         # the default rebuilds from the message alone, which __init__ cannot take
-        return type(self), (self.visited, self.budget, self.partial)
+        return type(self), (self.visited, self.budget)
 
 
 class BasisDFS:
@@ -370,8 +366,14 @@ def _subtree_fold(args):
     return fold(_subtree_dfs(p, total, p - 1, prefix), p, *rest)
 
 
-def _split_depth(p: int) -> int:
-    return max(1, min(4, p - 2))
+def _pooled(fold, p: int, total: int, threads: int, *rest):
+    """`fold(dfs, p, *rest)` on each subtree of the search, run by `threads` workers.
+
+    The results come in the lexicographic order of the subtrees.
+    """
+    prefixes = subtree_prefixes(p, total, p - 1, max(1, min(4, p - 2)))
+    with multiprocessing.Pool(threads) as pool:
+        yield from pool.imap(_subtree_fold, [(fold, p, total, pre, *rest) for pre in prefixes])
 
 
 def classify_raw(elems: tuple[int, ...], cov: int, mask: int, p: int):
@@ -410,12 +412,6 @@ class PlusBasisRecord:
     symmetricisable: bool
 
 
-def _classified(dfs: BasisDFS, p: int):
-    """(elements, extensible, symmetricisable) for every leaf of the walk."""
-    for elems in dfs:
-        yield (elems, *classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p))
-
-
 def iter_p_bases(p: int, node_budget: int | None = None):
     """All p-bases as Basis objects, lexicographically."""
     for elems in BasisDFS(p, p - 1, node_budget=node_budget):
@@ -440,19 +436,6 @@ def classify_basis(basis: Basis, p: int) -> PBasisRecord:
         extensible=report.extensible,
         symmetricisable=symmetricisable,
     )
-
-
-def iter_classified(p: int, node_budget: int | None = None):
-    """PBasisRecord stream over all p-bases (fast incremental classification)."""
-    dfs = BasisDFS(p, p - 1, node_budget=node_budget)
-    for elems, ext, sym in _classified(dfs, p):
-        yield PBasisRecord(
-            basis=Basis(elems),
-            p=p,
-            tail=elems[-1],
-            extensible=ext,
-            symmetricisable=sym,
-        )
 
 
 @dataclass(frozen=True)
@@ -489,10 +472,7 @@ def _tail_counts(p: int, threads: int = 1, node_budget: int | None = None) -> Co
     _reject_budget_with_threads(threads, node_budget)
     if threads <= 1:
         return _tail_rows(BasisDFS(p, p - 1, node_budget=node_budget), p)
-    prefixes = subtree_prefixes(p, p - 1, p - 1, _split_depth(p))
-    with multiprocessing.Pool(threads) as pool:
-        parts = pool.map(_subtree_fold, [(_tail_rows, p, p - 1, pre) for pre in prefixes])
-    return sum(parts, Counter())
+    return sum(_pooled(_tail_rows, p, p - 1, threads), Counter())
 
 
 def _class_counts(rows: Counter, tails) -> tuple[int, int, int]:
@@ -537,67 +517,6 @@ def range_comparison_stats(p: int, node_budget: int | None = None) -> RangeCompa
         else:
             above += 1
     return RangeComparison(p=p, below=below, equal=equal, above=above)
-
-
-def _plus_basis_record(elems, p, depth, ext, sym) -> PlusBasisRecord:
-    return PlusBasisRecord(
-        basis=Basis(elems),
-        p=p,
-        a_p=elems[p - 1],
-        comparison_tail=elems[-1] - depth * p,
-        extensible=ext,
-        symmetricisable=sym,
-    )
-
-
-def iter_p_plus(p: int, depth: int = 1, node_budget: int | None = None):
-    """PlusBasisRecord stream: p-bases with `depth` extra free elements."""
-    dfs = BasisDFS(
-        p, p - 1 + depth, constrained=p - 1, node_budget=node_budget
-    )
-    for elems, ext, sym in _classified(dfs, p):
-        yield _plus_basis_record(elems, p, depth, ext, sym)
-
-
-@dataclass(frozen=True)
-class DepthSearchResult:
-    p: int
-    depth: int
-    records: tuple[PlusBasisRecord, ...]  # the symmetricisable ones
-    max_tail: int | None
-    visited: int
-
-
-def plus_depth_search(
-    p: int, depth: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> DepthSearchResult:
-    """Search `depth` free elements beyond a p-basis for symmetricisable records.
-
-    Exceeding the node budget aborts with the records gathered so far
-    attached to the error as flagged partial results.
-    """
-    if depth < 1:
-        raise PreconditionError(f"depth must be >= 1, got {depth}")
-    records = []
-
-    def result(visited: int) -> DepthSearchResult:
-        return DepthSearchResult(
-            p=p,
-            depth=depth,
-            records=tuple(records),
-            max_tail=max((r.comparison_tail for r in records), default=None),
-            visited=visited,
-        )
-
-    dfs = BasisDFS(p, p - 1 + depth, constrained=p - 1, node_budget=node_budget)
-    try:
-        for elems, ext, sym in _classified(dfs, p):
-            if sym:
-                records.append(_plus_basis_record(elems, p, depth, ext, sym))
-    except BudgetExceededError as err:
-        err.partial = result(err.visited)
-        raise
-    return result(dfs.visited)
 
 
 @dataclass(frozen=True)
@@ -779,13 +698,10 @@ def run_enumeration(
     def emit_records(write, flush):
         """Write the records, flushing only before each checkpoint and at the end."""
         if dfs is None:
-            prefixes = subtree_prefixes(p, total, p - 1, _split_depth(p))
-            work = [(_records_subtree, p, total, pre, mode, classify_records) for pre in prefixes]
-            with multiprocessing.Pool(threads) as pool:
-                for lines, part in pool.imap(_subtree_fold, work):
-                    write("".join(lines))
-                    for key in _COUNT_KEYS:
-                        counts[key] += part[key]
+            for lines, part in _pooled(_records_subtree, p, total, threads, mode, classify_records):
+                write("".join(lines))
+                for key in _COUNT_KEYS:
+                    counts[key] += part[key]
             return
 
         due = dfs.visited + checkpoint_every if checkpoint_path else math.inf
@@ -808,17 +724,15 @@ def run_enumeration(
                 pass
 
     if out_path is not None:
-        lines_kept = []
-        if counts["count"]:  # resumed: keep the records the checkpoint covers
-            with open(out_path, encoding="utf-8") as fh:
-                lines_kept = fh.read().splitlines()[:counts["count"]]
-            if len(lines_kept) < counts["count"]:
-                raise PreconditionError(
-                    "record file is shorter than the checkpoint expects"
-                )
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for line in lines_kept:
-                fh.write(line + "\n")
+        # a resumed run keeps the records the checkpoint counts and cuts the file after them
+        with open(out_path, "r+" if counts["count"] else "w", encoding="utf-8") as fh:
+            for _ in range(counts["count"]):
+                if not fh.readline().endswith("\n"):  # missing, or torn by the interruption
+                    raise PreconditionError(
+                        "record file is shorter than the checkpoint expects"
+                    )
+            fh.seek(fh.tell())  # a text read runs ahead of tell(), and truncate() would cut there
+            fh.truncate()
             emit_records(fh.write, fh.flush)
     else:
         emit_records(out_stream.write, lambda: None)

@@ -31,7 +31,6 @@ from stampbase.search import (
     classify,
     enumerate_p_bases,
     iter_p_bases,
-    plus_depth_search,
     range_comparison_stats,
 )
 from stampbase.symmetric import (
@@ -40,6 +39,7 @@ from stampbase.symmetric import (
     m_zero,
 )
 
+from conftest import classified_leaves
 from frozen import (
     CENSUS,
     CLASSIFICATION,
@@ -202,10 +202,10 @@ def test_criterion_09_property_suites(classified):
 
 
 def test_criterion_10_depth_two_no_improvement():
+    # a second free element never beats the best symmetricisable tail of one
     for p in range(5, 11):
-        depth_one = plus_depth_search(p, 1)
-        depth_two = plus_depth_search(p, 2)
-        assert depth_two.max_tail == depth_one.max_tail, p
+        depth_two = max(elems[-1] - 2 * p for elems, _, sym in classified_leaves(p, 2) if sym)
+        assert depth_two == maximal_symmetricisable(p, "plus").tail, p
 
 
 @pytest.mark.stretch

@@ -221,6 +221,39 @@ def test_enumerate_resume_rejects_corrupt_cursors(tmp_path, capsys, frontier):
     assert out.read_bytes() == records
 
 
+def _budget_aborted_p9(capsys, tmp_path):
+    """argv and record-file lines of `enumerate 9` stopped by a budget after checkpoints."""
+    out, ckpt = tmp_path / "o.jsonl", tmp_path / "c.json"
+    argv = ["enumerate", "9", "--out", str(out), "--checkpoint", str(ckpt),
+            "--checkpoint-every", "10"]
+    assert run_cli(capsys, *argv, "--node-budget", "60")[0] == 3
+    count = json.loads(ckpt.read_text())["partial_stats"]["count"]
+    lines = out.read_bytes().splitlines(keepends=True)
+    assert 0 < count <= len(lines)
+    return argv, lines, count
+
+
+def test_enumerate_resume_rejects_torn_record_file(tmp_path, capsys):
+    # the last line the checkpoint counts was cut short: it is no record to keep
+    argv, lines, count = _budget_aborted_p9(capsys, tmp_path)
+    torn = b"".join(lines[:count - 1]) + lines[count - 1][:10]
+    (tmp_path / "o.jsonl").write_bytes(torn)
+    code, out_text, err = run_cli(capsys, *argv, "--resume")
+    assert (code, out_text) == (2, "")
+    assert err == "error: record file is shorter than the checkpoint expects\n"
+    assert (tmp_path / "o.jsonl").read_bytes() == torn
+    assert (tmp_path / "c.json").exists()
+
+
+def test_enumerate_resume_drops_a_line_torn_after_the_checkpoint(tmp_path, capsys):
+    ref = tmp_path / "ref.jsonl"
+    assert run_cli(capsys, "enumerate", "9", "--out", str(ref))[0] == 0
+    argv, lines, count = _budget_aborted_p9(capsys, tmp_path)
+    (tmp_path / "o.jsonl").write_bytes(b"".join(lines[:count]) + b'{"p":9,"ba')
+    assert run_cli(capsys, *argv, "--resume")[0] == 0
+    assert (tmp_path / "o.jsonl").read_bytes() == ref.read_bytes()
+
+
 def _stats(**changes):
     return lambda ckpt: {**ckpt, "partial_stats": {**ckpt["partial_stats"], **changes}}
 
@@ -479,6 +512,22 @@ def test_tables_size_limits_rejected(capsys, which, option, value, floor):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert f"error: argument {option}: must be >= {floor}, got {value}" in captured.err
+
+
+@pytest.mark.parametrize("which", range(1, 16))
+@pytest.mark.parametrize("p_max", [3, 4])
+def test_tables_below_their_first_p(capsys, which, p_max):
+    # tables 3-9 and 11 start their rows at p = 5, and would be a header alone below it
+    code, out, err = run_cli(capsys, "tables", str(which), "--p-max", str(p_max))
+    if which in (3, 4, 5, 6, 7, 8, 9, 11):
+        assert (code, out) == (2, "")
+        assert err == f"error: table {which} starts at p = 5; --p-max must be >= 5, got {p_max}\n"
+    else:
+        assert (code, err) == (0, "")
+        header, *rows = csv.reader(io.StringIO(out))
+        expected_header, expected_rows = _expected_table(which, p_max, cli.DEFAULT_K_MAX)
+        assert rows and (header, rows) == (expected_header, [[str(x) for x in row]
+                                                             for row in expected_rows])
 
 
 def test_zero_node_budget_is_a_budget(capsys):

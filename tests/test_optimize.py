@@ -7,9 +7,10 @@ from stampbase.optimize import (
     maximal_symmetricisable,
     range_table,
 )
-from stampbase.search import BasisDFS, BudgetExceededError, iter_classified, iter_p_plus
+from stampbase.search import BasisDFS, BudgetExceededError
 from stampbase.symmetric import build_symmetric_closure
 
+from conftest import classified_leaves
 from frozen import (
     MAXIMAL_PLAIN,
     MAXIMAL_PLAIN_TAILS,
@@ -45,10 +46,9 @@ def test_maximal_plus_p12_tie_count():
 @pytest.mark.parametrize("mode", ["plain", "plus"])
 @pytest.mark.parametrize("p", range(5, 12))
 def test_maximal_equals_brute_force(p, mode):
-    if mode == "plain":
-        found = [(r.tail, r.basis) for r in iter_classified(p) if r.symmetricisable]
-    else:
-        found = [(r.comparison_tail, r.basis) for r in iter_p_plus(p) if r.symmetricisable]
+    extra = 0 if mode == "plain" else 1  # a plus basis is ranked by its tail a_p - p
+    found = [(elems[-1] - extra * p, Basis(elems))
+             for elems, _, sym in classified_leaves(p, extra) if sym]
     best = max(tail for tail, _ in found)
     mset = maximal_symmetricisable(p, mode)
     assert mset.tail == best

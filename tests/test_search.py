@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stampbase
 from stampbase import search
 from stampbase.basis import Basis, PreconditionError, basis_range, coverage
 from stampbase.extension import is_extensible
+from stampbase.optimize import maximal_symmetricisable
 from stampbase.search import (
     BasisDFS,
     BudgetExceededError,
@@ -19,10 +21,8 @@ from stampbase.search import (
     classify_basis,
     enumerate_p_bases,
     iter_p_bases,
-    iter_p_plus,
     load_checkpoint,
     maxima_record,
-    plus_depth_search,
     range_comparison_stats,
     run_enumeration,
     subtree_prefixes,
@@ -31,6 +31,7 @@ from stampbase.search import (
 )
 from stampbase.symmetric import is_symmetricisable_plus
 
+from conftest import classified_leaves
 from frozen import CENSUS, CLASSIFICATION, RANGE_COMPARISON
 from oracles import brute_range, naive_p_bases, search_nodes, search_tree
 
@@ -208,14 +209,14 @@ def test_budget_abort_reports_node_counts():
     assert err.value.visited == 51
 
 
-@pytest.mark.parametrize("partial", [None, {"records": (1, 2), "max_tail": 15}])
-def test_budget_error_pickles(partial):
+@pytest.mark.parametrize("visited, budget", [(501, 500), (1, 0)])
+def test_budget_error_pickles(visited, budget):
     # a pool worker's error crosses back to the parent pickled
-    err = BudgetExceededError(501, 500, partial)
+    err = BudgetExceededError(visited, budget)
     back = pickle.loads(pickle.dumps(err))
     assert type(back) is BudgetExceededError
-    assert (back.visited, back.budget, back.partial) == (501, 500, partial)
-    assert str(back) == str(err) == "node budget exceeded: visited 501 > 500"
+    assert (back.visited, back.budget) == (visited, budget)
+    assert str(back) == str(err) == f"node budget exceeded: visited {visited} > {budget}"
 
 
 def test_classify_basis_agrees_with_fast_path(classified):
@@ -225,38 +226,56 @@ def test_classify_basis_agrees_with_fast_path(classified):
         assert slow.symmetricisable == rec.symmetricisable
 
 
-def test_plus_records():
-    records = list(iter_p_plus(6))
+def test_plus_records(tmp_path):
+    # a plus record is a p-basis with one free element, ranked by its tail a_p - p
+    out = tmp_path / "p6plus.jsonl"
+    run_enumeration(6, mode="plus", out_path=str(out))
+    records = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(records) == 15
+    assert [(tuple(r["basis"]), r["extensible"], r["symmetricisable"])
+            for r in records] == list(classified_leaves(6, 1))
     for rec in records:
-        assert rec.basis.k == 6
-        assert rec.comparison_tail == rec.basis.tail - 6
-        assert basis_range(rec.basis).admissible
-        assert rec.extensible == is_extensible(rec.basis, 6).extensible
-        if rec.extensible:
-            verdict = is_symmetricisable_plus(rec.basis, 6)
-            assert rec.symmetricisable == verdict.symmetricisable
+        basis = Basis(tuple(rec["basis"]))
+        assert basis.k == 6
+        assert rec["tail"] == basis.tail - 6
+        assert basis_range(basis).admissible
+        assert rec["extensible"] == is_extensible(basis, 6).extensible
+        if rec["extensible"]:
+            verdict = is_symmetricisable_plus(basis, 6)
+            assert rec["symmetricisable"] == verdict.symmetricisable
         else:
-            assert not rec.symmetricisable
+            assert not rec["symmetricisable"]
 
 
 def test_plus_depth_search():
-    result = plus_depth_search(8, 1)
-    assert result.max_tail == 13
-    assert len(result.records) == 49
-    assert all(r.symmetricisable for r in result.records)
-    with pytest.raises(PreconditionError):
-        plus_depth_search(8, 0)
+    # one free element beyond each 8-basis: 49 are symmetricisable, the best tail a_p - p is 13
+    tails = [elems[-1] - 8 for elems, _, sym in classified_leaves(8, 1) if sym]
+    assert len(tails) == 49 and max(tails) == 13
+    assert maximal_symmetricisable(8, "plus").tail == 13
 
 
-def test_plus_depth_search_budget_keeps_partial_results():
-    with pytest.raises(BudgetExceededError) as err:
-        plus_depth_search(10, 2, node_budget=500)
-    partial = err.value.partial
-    assert err.value.visited == 501
-    assert partial.p == 10 and partial.depth == 2
-    assert partial.max_tail == 15
-    assert len(partial.records) == 238
+def test_public_api():
+    # adding or removing a public name is a deliberate change to this list
+    assert sorted(stampbase.__all__) == [
+        "Basis", "BasisError", "BestSegments", "BudgetExceededError", "ClassStats",
+        "ExtensionReport", "MaximaRecord", "MaximalBasisSet", "PBasisRecord",
+        "PeriodReport", "PlusBasisRecord", "PreconditionError", "RangeComparison",
+        "RangeResult", "RangeTable", "ReachSet", "ResidueProfile", "StohrSequence",
+        "SymmetricClosure", "SymmetricisabilityReport", "TailDistribution",
+        "basis", "basis_range", "best_segments", "build_symmetric_closure",
+        "classify", "classify_basis", "closure_profile", "closure_range",
+        "enumerate_p_bases", "extend_arithmetic", "extend_reach",
+        "extensible_completion", "extension", "extension_range_identity",
+        "extension_threshold", "is_extensible", "is_p_basis", "is_symmetric",
+        "is_symmetricisable", "is_symmetricisable_plus", "iter_p_bases", "m_zero",
+        "maxima_record", "maximal_symmetricisable", "optimize", "period_bound",
+        "periodic_scan", "range_comparison_stats", "range_table", "residue_profile",
+        "run_enumeration", "search", "stohr_sequence", "symmetric", "symmetrize",
+        "tail_distribution",
+    ]
+    for name in ("iter_classified", "iter_p_plus", "plus_depth_search",
+                 "DepthSearchResult", "DEFAULT_NODE_BUDGET"):
+        assert not hasattr(stampbase, name) and not hasattr(search, name), name
 
 
 def test_tail_distribution():
