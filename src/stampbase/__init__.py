@@ -5,6 +5,8 @@ extensibility and symmetricisability, builds symmetric closures, and
 reproduces the census and extremal tables at desk scale.
 """
 
+from types import ModuleType as _ModuleType
+
 from .basis import (
     Basis,
     BasisError,
@@ -68,5 +70,9 @@ from .symmetric import (
     m_zero,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are names here too, but a star import should not bind them
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 __version__ = "0.1.0"

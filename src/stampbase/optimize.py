@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .basis import Basis, PreconditionError
-from .search import BasisDFS, classify_raw
+from .search import BasisDFS, _mode_levels, classify_raw
 from .symmetric import closure_profile
 
 
@@ -48,12 +48,7 @@ def maximal_symmetricisable(
     element can win: the search floor rises to each new best, and the
     leaves below it are counted but neither built nor classified.
     """
-    if mode == "plain":
-        total, shift = p - 1, 0
-    elif mode == "plus":
-        total, shift = p, p
-    else:
-        raise PreconditionError(f"mode must be 'plain' or 'plus', got {mode!r}")
+    total, shift = _mode_levels(p, mode)
     dfs = BasisDFS(p, total, constrained=p - 1, node_budget=node_budget)
     best_tail = -1
     best: list[Basis] = []

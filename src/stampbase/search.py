@@ -13,8 +13,9 @@ order.
 The engine below runs that tree iteratively with an explicit stack, which
 makes three facilities cheap:
 
-* a resumable frontier (current prefix plus one next-candidate cursor per
-  level) serialized to a small JSON checkpoint,
+* a resumable frontier serialized to a small JSON checkpoint: the walk
+  holds the current prefix and one next candidate, for its deepest level,
+  and the checkpoint's per-level cursors are derived from them,
 * deterministic subtree partitioning for data-parallel runs (workers get
   disjoint prefixes in lexicographic order and results merge in order),
 * node budgets that abort runaway searches.
@@ -66,17 +67,23 @@ class BasisDFS:
     yield, leaf_cov / leaf_mask / leaf_n hold the coverage state of the
     yielded basis so consumers can continue incrementally.
 
-    Every node counts towards `visited`, leaves included, but leaves are
-    visited in a loop over the candidates of their parent rather than
-    pushed as levels of their own; where one residue is left, those
-    candidates form an arithmetic progression with step p.  Where the
-    leaves step by 1 or by p, their parents are not pushed either: the
-    grandparent counts each one in its own loop, and puts its element and
-    cursor on the stacks only while its leaves are yielded, so `state()`
-    reads as if every level were pushed.  Setting `floor` withholds the
-    leaves whose last element is below it: they are counted
-    arithmetically, so `visited` and the node budget still see them, but
-    no tuple or coverage is built for them.
+    The walk holds the prefix, one frame per element, and one next
+    candidate for the deepest element: every shallower level resumes right
+    after the element above it, and `state()` derives its per-level
+    cursors from that.  Every node counts towards `visited`, leaves
+    included, but leaves are visited in a loop over the candidates of their
+    parent rather than pushed as levels of their own; where one residue is
+    left, those candidates form an arithmetic progression with step p.
+    Where the leaves step by 1 or by p, their parents get no frame either:
+    the grandparent counts each one as a child, and puts its element on the
+    prefix only while its leaves are yielded, so `state()` reads as if
+    every level were pushed.  Setting `floor` withholds the leaves whose
+    last element is below it: they are counted arithmetically, so
+    `visited` and the node budget still see them, but no tuple or coverage
+    is built for them.
+
+    With `min_height` h, the walk ends when it leaves the subtree of its
+    first h elements; h must not exceed the depth of the restored prefix.
     """
 
     def __init__(
@@ -107,12 +114,11 @@ class BasisDFS:
         self.visited = 0
         self.leaf_cov = self.leaf_mask = None
         self._elems: list[int] = []
-        self._cursors: list[int] = []
+        self._next = 2  # the next candidate of the deepest level on _elems
         # per level: (coverage, element mask, n + 1, nonzero residues still free)
         self._frames: list[tuple[int, int, int, int]] = []
         if state is None:
             self._elems.append(1)
-            self._cursors.append(2)
             self._frames.append(_child(_empty_frame(p), 1, p))
             self.visited = 1
             if node_budget is not None and node_budget < 1:
@@ -177,15 +183,16 @@ class BasisDFS:
         if visited < len(prefix):
             raise PreconditionError("corrupt state: fewer nodes visited than the prefix holds")
         self._elems[:] = prefix
-        self._cursors[:] = cursors
+        self._next = cursors[-1]
         self.visited = visited
 
     def state(self) -> dict:
         """Serializable frontier; restoring it resumes exactly here."""
+        prefix = self._elems  # a level above the deepest resumes after the next one's element
         return {
             "p": self.p,
-            "prefix": list(self._elems),
-            "cursors": list(self._cursors),
+            "prefix": list(prefix),
+            "cursors": [a + 1 for a in prefix[1:]] + [self._next] if prefix else [],
             "visited": self.visited,
         }
 
@@ -196,27 +203,32 @@ class BasisDFS:
     def __next__(self) -> tuple[int, ...]:
         return next(self._walker)
 
-    def _over_budget(self, visited: int) -> BudgetExceededError:
+    def _over_budget(self, visited: int, c: int) -> BudgetExceededError:
         self.visited = visited = min(visited, self.node_budget + 1)
+        self._next = c
         return BudgetExceededError(visited, self.node_budget)
 
     def _walk(self):
-        """The DFS proper; `_elems`, `_cursors` and `visited` are current at each yield."""
+        """The DFS proper; `_elems`, `_next` and `visited` are current at each yield."""
         p, total, constrained = self.p, self.total, self.constrained
         cap = math.inf if self.node_budget is None else self.node_budget
-        elems, cursors, frames = self._elems, self._cursors, self._frames
+        elems, frames, visited, c = self._elems, self._frames, self.visited, self._next
         min_height, leaf_parent = self.min_height, total - 1
         # leaves step by 1 on a free level and by p where one residue is left;
-        # where they step, their parents are expanded in the grandparent's loop
+        # where they step, a grandparent's children, the leaf parents, get no frame
         step = 1 if constrained < total else p if total == p - 1 else 0
         grandparent = total - 2 if step else 0  # no node has depth 0
-        inner = grandparent or leaf_parent  # shallower nodes push their children
-        visited = self.visited
+        if len(elems) == total:  # only a first node is a leaf on the stack: total == 1, or restored
+            self.leaf_cov, self.leaf_mask, _, _ = frames.pop()
+            leaf = tuple(elems)
+            self._next = c = elems.pop() + 1
+            if total <= min_height:
+                elems.clear()
+            yield leaf
         while elems:
             depth = len(elems)
             cov, mask, limit, free = frames[-1]
-            c = cursors[-1]
-            if depth < inner:
+            if depth < leaf_parent:
                 if depth < constrained:
                     # jump to the next candidate whose residue is still free
                     r = c % p
@@ -225,101 +237,65 @@ class BasisDFS:
                         c += (above & -above).bit_length() - 1
                     else:
                         c += p - r + (free & -free).bit_length() - 1
-                if c <= limit:
-                    cursors[-1] = c + 1
-                    cov |= (mask << c) | (1 << (2 * c))
-                    elems.append(c)
-                    cursors.append(c + 1)
-                    frames.append((
-                        cov,
-                        mask | (1 << c),
-                        ((~cov) & (cov + 1)).bit_length() - 1,
-                        free & ~(1 << (c % p)),
-                    ))
-                    visited += 1
-                    if visited > cap:
-                        raise self._over_budget(visited)
+                if c > limit:  # every child is done
+                    frames.pop()
+                    c = elems.pop() + 1
+                    if depth <= min_height:
+                        elems.clear()
                     continue
-            elif depth < total:
-                # A grandparent expands its children, the leaf parents, here: one
-                # with no leaf at or above the floor is counted with its leaves,
-                # and one with such a leaf is on elems and cursors while its
-                # leaves are yielded.  A leaf parent on top of the stack (a
-                # restored frontier, or leaves that do not step) yields its own.
-                while True:
-                    if depth == leaf_parent:
-                        leaves = _leaf_candidates(c, limit, free, p, step)
-                        parent_cov, parent_mask = cov, mask
-                    else:
-                        if depth < constrained:  # the same residue jump as above
-                            r = c % p
-                            above = free >> r
-                            if above:
-                                c += (above & -above).bit_length() - 1
-                            else:
-                                c += p - r + (free & -free).bit_length() - 1
-                        if c > limit:
-                            break
-                        visited += 1
-                        parent_cov = cov | (mask << c) | (1 << (2 * c))
-                        leaves = _leaf_candidates(
-                            c + 1,
-                            ((~parent_cov) & (parent_cov + 1)).bit_length() - 1,
-                            free & ~(1 << (c % p)),
-                            p,
-                            step,
-                        )
-                        if not leaves or leaves[-1] < self.floor:
-                            visited += len(leaves)
-                            if visited <= cap:
-                                c += 1
-                                continue
-                        # a child with a leaf to yield, or the one over budget
-                        cursors[-1] = c + 1
-                        elems.append(c)
-                        cursors.append(c + 1)
-                        if visited > cap:
-                            raise self._over_budget(visited)
-                        parent_mask = mask | (1 << c)
-                    head = tuple(elems)
-                    i, end = 0, len(leaves)
-                    while i < end:
-                        leaf = leaves[i]
-                        if leaf < self.floor:
-                            j = bisect.bisect_left(leaves, self.floor, i)
-                            visited += j - i
-                            if visited > cap:
-                                raise self._over_budget(visited)
-                            i = j
-                            continue
-                        visited += 1
-                        if visited > cap:
-                            raise self._over_budget(visited)
-                        self.visited = visited
-                        cursors[-1] = leaf + 1
-                        self.leaf_cov = parent_cov | (parent_mask << leaf) | (1 << (2 * leaf))
-                        self.leaf_mask = parent_mask | (1 << leaf)
-                        yield head + (leaf,)
-                        i += 1
-                    if depth == leaf_parent:
-                        break
-                    elems.pop()
-                    cursors.pop()
+                visited += 1
+                cov |= (mask << c) | (1 << (2 * c))
+                limit = ((~cov) & (cov + 1)).bit_length() - 1
+                free &= ~(1 << (c % p))
+                if depth != grandparent:
+                    elems.append(c)
+                    frames.append((cov, mask | (1 << c), limit, free))
                     c += 1
+                    if visited > cap:
+                        raise self._over_budget(visited, c)
+                    continue
+                # a grandparent's child is a leaf parent and gets no frame: one with no leaf
+                # at or above the floor is counted with its leaves, and one with such a leaf
+                # is on elems while they are yielded
+                leaves = _leaf_candidates(c + 1, limit, free, p, step)
+                if not leaves or leaves[-1] < self.floor:
+                    visited += len(leaves)
+                    if visited <= cap:
+                        c += 1
+                        continue
+                elems.append(c)
+                mask |= 1 << c
+                c += 1
+                if visited > cap:
+                    raise self._over_budget(visited, c)
             else:
-                # a leaf pushed as a level: total == 1, or a restored full prefix
-                leaf = tuple(elems)
-                self.leaf_cov, self.leaf_mask = cov, mask
-            elems.pop()
-            cursors.pop()
-            frames.pop()
-            if depth <= min_height:
-                elems.clear()
-                cursors.clear()
-                frames.clear()
-            if depth == total:
+                # a leaf parent with a frame (a restored frontier, leaves that do
+                # not step, or total == 2) gives it up and yields like the others
+                frames.pop()
+                leaves = _leaf_candidates(c, limit, free, p, step)
+            head = tuple(elems)
+            i, end = 0, len(leaves)
+            while i < end:
+                leaf = leaves[i]
+                if leaf < self.floor:
+                    j = bisect.bisect_left(leaves, self.floor, i)
+                    visited += j - i
+                    if visited > cap:
+                        raise self._over_budget(visited, c)
+                    i = j
+                    continue
+                visited += 1
+                if visited > cap:
+                    raise self._over_budget(visited, c)
                 self.visited = visited
-                yield leaf
+                self._next = c = leaf + 1
+                self.leaf_cov = cov | (mask << leaf) | (1 << (2 * leaf))
+                self.leaf_mask = mask | (1 << leaf)
+                yield head + (leaf,)
+                i += 1
+            c = elems.pop() + 1
+            if leaf_parent <= min_height:
+                elems.clear()
         self.visited = visited
 
 
@@ -345,6 +321,13 @@ def _child(frame: tuple[int, int, int, int], c: int, p: int) -> tuple[int, int, 
     cov, mask, _, free = frame
     cov, mask = extend_coverage(cov, mask, c)
     return cov, mask, first_gap(cov), free & ~(1 << (c % p))
+
+
+def _mode_levels(p: int, mode: str) -> tuple[int, int]:
+    """(levels, tail shift) of a search: a plus basis adds one free element, with tail a_p - p."""
+    if mode not in ("plain", "plus"):
+        raise PreconditionError(f"mode must be 'plain' or 'plus', got {mode!r}")
+    return (p - 1, 0) if mode == "plain" else (p, p)
 
 
 def subtree_prefixes(p: int, total: int, constrained: int, depth: int) -> list:
@@ -628,7 +611,7 @@ def _record_lines(dfs: BasisDFS, p: int, mode: str, classify_records: bool, coun
     for the keys p, basis, tail and, when classifying, extensible and
     symmetricisable, but is formatted directly.
     """
-    shift = p if mode == "plus" else 0  # a plus record's tail is a_p - p
+    shift = _mode_levels(p, mode)[1]
     head = f'{{"p":{p},"basis":['
     end = "}"
     for elems in dfs:
@@ -665,14 +648,15 @@ def run_enumeration(
     cadence: parallel subtrees merge in lexicographic order, and a resumed
     run first truncates the record file back to the checkpointed count.
     """
-    if mode not in ("plain", "plus"):
-        raise PreconditionError(f"mode must be 'plain' or 'plus', got {mode!r}")
+    total, _ = _mode_levels(p, mode)
     if mode == "plus":
         classify_records = True
     if threads > 1 and checkpoint_path:
         raise PreconditionError("checkpointing requires a single-threaded run")
+    if checkpoint_path and out_path is None:
+        # stdout cannot be cut back to a checkpoint's count, so a resume would repeat records
+        raise PreconditionError("checkpointing needs a record file (--out)")
     _reject_budget_with_threads(threads, node_budget)
-    total = p - 1 if mode == "plain" else p
 
     counts = dict.fromkeys(_COUNT_KEYS, 0)
     state = None
@@ -695,20 +679,21 @@ def run_enumeration(
         p, total, constrained=p - 1, state=state, node_budget=node_budget
     )
 
-    def emit_records(write, flush):
+    def emit_records(sink):
         """Write the records, flushing only before each checkpoint and at the end."""
         if dfs is None:
             for lines, part in _pooled(_records_subtree, p, total, threads, mode, classify_records):
-                write("".join(lines))
+                sink.write("".join(lines))
                 for key in _COUNT_KEYS:
                     counts[key] += part[key]
             return
 
         due = dfs.visited + checkpoint_every if checkpoint_path else math.inf
+        write = sink.write
         for line in _record_lines(dfs, p, mode, classify_records, counts):
             write(line)
             if dfs.visited >= due:
-                flush()  # a checkpoint never counts a line that is not in the file
+                sink.flush()  # a checkpoint never counts a line that is not in the file
                 frontier = dfs.state()
                 frontier["partial_stats"] = {"mode": mode, "classify": bool(classify_records), **counts}
                 save_checkpoint(checkpoint_path, frontier)
@@ -717,7 +702,7 @@ def run_enumeration(
         # restore as a fresh traversal and duplicate every record; the file
         # gets every record before the recovery point goes
         if checkpoint_path:
-            flush()
+            sink.flush()
             try:
                 os.remove(checkpoint_path)
             except FileNotFoundError:
@@ -733,9 +718,9 @@ def run_enumeration(
                     )
             fh.seek(fh.tell())  # a text read runs ahead of tell(), and truncate() would cut there
             fh.truncate()
-            emit_records(fh.write, fh.flush)
+            emit_records(fh)
     else:
-        emit_records(out_stream.write, lambda: None)
+        emit_records(out_stream)  # never checkpointed, so it needs no flush()
     summary = {"p": p, "mode": mode, "n_p" if mode == "plain" else "n_plus": counts["count"]}
     if classify_records:
         summary.update(n_e=counts["n_e"], n_s=counts["n_s"])

@@ -288,6 +288,20 @@ def test_enumerate_resume_rejects_corrupt_counts(tmp_path, capsys, classify, cor
     assert out.read_bytes() == records
 
 
+def test_enumerate_checkpoint_needs_a_record_file(tmp_path, monkeypatch, capsys):
+    # stdout cannot be cut back to a checkpoint's count, so a resume would
+    # print again the records after it
+    monkeypatch.chdir(tmp_path)
+    for extra in ([], ["--resume"]):
+        code, out, err = run_cli(
+            capsys, "enumerate", "10", "--checkpoint", "c.json",
+            "--checkpoint-every", "100", "--node-budget", "250", *extra,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: checkpointing needs a record file (--out)\n"
+        assert os.listdir(tmp_path) == []
+
+
 def test_enumerate_resume_without_checkpoint(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "enumerate", "8",

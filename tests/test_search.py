@@ -3,6 +3,7 @@ import os
 import pickle
 import tempfile
 from collections import Counter, defaultdict
+from types import ModuleType
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +140,22 @@ def test_subtree_prefixes_partition_the_search():
         assert merged == whole
 
 
+@pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
+def test_subtree_state_resumes_the_whole_walk(extra):
+    # a subtree walk's frontier is a frontier of the whole walk: restored
+    # without min_height, it goes on past the subtree to the last leaf
+    p, total = 9, 8 + extra
+    whole = list(BasisDFS(p, total, constrained=p - 1))
+    states = 0
+    for prefix in subtree_prefixes(p, total, p - 1, 3):
+        sub = _subtree_dfs(p, total, p - 1, prefix)
+        for elems in sub:
+            rest = BasisDFS(p, total, constrained=p - 1, state=sub.state())
+            assert list(rest) == whole[whole.index(elems) + 1:]
+            states += 1
+    assert states == len(whole)
+
+
 def test_state_restore_resumes_mid_iteration():
     dfs = BasisDFS(9, 8)
     head = [next(dfs) for _ in range(10)]
@@ -262,17 +279,22 @@ def test_public_api():
         "PeriodReport", "PlusBasisRecord", "PreconditionError", "RangeComparison",
         "RangeResult", "RangeTable", "ReachSet", "ResidueProfile", "StohrSequence",
         "SymmetricClosure", "SymmetricisabilityReport", "TailDistribution",
-        "basis", "basis_range", "best_segments", "build_symmetric_closure",
+        "basis_range", "best_segments", "build_symmetric_closure",
         "classify", "classify_basis", "closure_profile", "closure_range",
         "enumerate_p_bases", "extend_arithmetic", "extend_reach",
-        "extensible_completion", "extension", "extension_range_identity",
+        "extensible_completion", "extension_range_identity",
         "extension_threshold", "is_extensible", "is_p_basis", "is_symmetric",
         "is_symmetricisable", "is_symmetricisable_plus", "iter_p_bases", "m_zero",
-        "maxima_record", "maximal_symmetricisable", "optimize", "period_bound",
+        "maxima_record", "maximal_symmetricisable", "period_bound",
         "periodic_scan", "range_comparison_stats", "range_table", "residue_profile",
-        "run_enumeration", "search", "stohr_sequence", "symmetric", "symmetrize",
+        "run_enumeration", "stohr_sequence", "symmetrize",
         "tail_distribution",
     ]
+    # a star import binds no submodule, so it cannot shadow a caller's `search`
+    namespace = {}
+    exec("search = 42\nfrom stampbase import *", namespace)
+    assert namespace["search"] == 42
+    assert not [name for name, value in namespace.items() if isinstance(value, ModuleType)]
     for name in ("iter_classified", "iter_p_plus", "plus_depth_search",
                  "DepthSearchResult", "DEFAULT_NODE_BUDGET"):
         assert not hasattr(stampbase, name) and not hasattr(search, name), name
