@@ -10,8 +10,8 @@ is therefore exactly the tree of admissible prefixes with distinct nonzero
 residues, and the enumeration visits each p-basis once, in lexicographic
 order.
 
-The engine below runs that tree iteratively with an explicit stack, which
-makes three facilities cheap:
+The engine below runs that tree in a kernel generated for the shape of
+the search, one nested loop per level, which makes three facilities cheap:
 
 * a resumable frontier serialized to a small JSON checkpoint: the walk
   holds the current prefix and one next candidate, for its deepest level,
@@ -27,11 +27,10 @@ p-basis, compared against others by the tail a_p - p.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
-import multiprocessing
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -67,23 +66,16 @@ class BasisDFS:
     yield, leaf_cov / leaf_mask / leaf_n hold the coverage state of the
     yielded basis so consumers can continue incrementally.
 
-    The walk holds the prefix, one frame per element, and one next
-    candidate for the deepest element: every shallower level resumes right
-    after the element above it, and `state()` derives its per-level
-    cursors from that.  Every node counts towards `visited`, leaves
-    included, but leaves are visited in a loop over the candidates of their
-    parent rather than pushed as levels of their own; where one residue is
-    left, those candidates form an arithmetic progression with step p.
-    Where the leaves step by 1 or by p, their parents get no frame either:
-    the grandparent counts each one as a child, and puts its element on the
-    prefix only while its leaves are yielded, so `state()` reads as if
-    every level were pushed.  Setting `floor` withholds the leaves whose
-    last element is below it: they are counted arithmetically, so
-    `visited` and the node budget still see them, but no tuple or coverage
-    is built for them.
+    The walk runs in a kernel generated for its shape (see `_kernel`), and
+    holds its frontier as one tuple: the prefix, then one less than the
+    next candidate for the element after it.  At a yield that tuple is the
+    leaf itself.  Every node counts towards `visited`, leaves included.
+    Setting `floor` withholds the leaves whose last element is below it:
+    they are counted arithmetically, so `visited` and the node budget still
+    see them, but no tuple or coverage is built for them.
 
     With `min_height` h, the walk ends when it leaves the subtree of its
-    first h elements; h must not exceed the depth of the restored prefix.
+    first h elements; h runs from 1 to the depth of the starting prefix.
     """
 
     def __init__(
@@ -111,21 +103,27 @@ class BasisDFS:
         self.min_height = min_height
         self.node_budget = node_budget
         self.floor = 0
-        self.visited = 0
         self.leaf_cov = self.leaf_mask = None
-        self._elems: list[int] = []
-        self._next = 2  # the next candidate of the deepest level on _elems
-        # per level: (coverage, element mask, n + 1, nonzero residues still free)
+        # per element of the prefix: (coverage, element mask, n + 1, nonzero residues still free)
         self._frames: list[tuple[int, int, int, int]] = []
         if state is None:
-            self._elems.append(1)
+            prefix, cursor = [1], 2
             self._frames.append(_child(_empty_frame(p), 1, p))
             self.visited = 1
             if node_budget is not None and node_budget < 1:
                 raise BudgetExceededError(1, node_budget)
         else:
-            self._restore(state)
-        self._walker = self._walk()
+            prefix, cursor = self._restore(state)
+        if not 1 <= min_height <= len(prefix):
+            raise PreconditionError(
+                f"min_height must be within 1..{len(prefix)}, the depth of the "
+                f"starting prefix, not {min_height}"
+            )
+        self._at = (*prefix, cursor - 1)
+        if len(prefix) == min_height < total:  # one kernel, iterated with nothing in between
+            self._walker = self._subtree(prefix, min_height, cursor, self.visited)
+        else:
+            self._walker = self._resume(prefix, cursor)
 
     @property
     def leaf_n(self) -> int | None:
@@ -134,7 +132,7 @@ class BasisDFS:
             return None
         return range_from_coverage(self.leaf_cov)
 
-    def _restore(self, state: dict) -> None:
+    def _restore(self, state: dict) -> tuple[list[int], int]:
         """Replay a saved frontier, rejecting any that no walk could reach."""
         p = self.p
         prefix, cursors = state["prefix"], state["cursors"]
@@ -182,17 +180,16 @@ class BasisDFS:
             )
         if visited < len(prefix):
             raise PreconditionError("corrupt state: fewer nodes visited than the prefix holds")
-        self._elems[:] = prefix
-        self._next = cursors[-1]
         self.visited = visited
+        return prefix, cursors[-1]
 
     def state(self) -> dict:
         """Serializable frontier; restoring it resumes exactly here."""
-        prefix = self._elems  # a level above the deepest resumes after the next one's element
+        at = self._at  # a level above the deepest resumes after the next one's element
         return {
             "p": self.p,
-            "prefix": list(prefix),
-            "cursors": [a + 1 for a in prefix[1:]] + [self._next] if prefix else [],
+            "prefix": list(at[:-1]),
+            "cursors": [a + 1 for a in at[1:]],
             "visited": self.visited,
         }
 
@@ -203,112 +200,138 @@ class BasisDFS:
     def __next__(self) -> tuple[int, ...]:
         return next(self._walker)
 
-    def _over_budget(self, visited: int, c: int) -> BudgetExceededError:
+    def _trip(self, visited: int, prefix: tuple[int, ...]) -> BudgetExceededError:
+        """The budget error at node `prefix` or one of its leaves.
+
+        The walk resumes below `prefix`, after the last leaf yielded there, if any.
+        """
+        at = self._at
+        self._at = prefix + (at[-1] if at[:-1] == prefix else prefix[-1],)
         self.visited = visited = min(visited, self.node_budget + 1)
-        self._next = c
         return BudgetExceededError(visited, self.node_budget)
 
-    def _walk(self):
-        """The DFS proper; `_elems`, `_next` and `visited` are current at each yield."""
-        p, total, constrained = self.p, self.total, self.constrained
-        cap = math.inf if self.node_budget is None else self.node_budget
-        elems, frames, visited, c = self._elems, self._frames, self.visited, self._next
-        min_height, leaf_parent = self.min_height, total - 1
-        # leaves step by 1 on a free level and by p where one residue is left;
-        # where they step, a grandparent's children, the leaf parents, get no frame
-        step = 1 if constrained < total else p if total == p - 1 else 0
-        grandparent = total - 2 if step else 0  # no node has depth 0
-        if len(elems) == total:  # only a first node is a leaf on the stack: total == 1, or restored
-            self.leaf_cov, self.leaf_mask, _, _ = frames.pop()
-            leaf = tuple(elems)
-            self._next = c = elems.pop() + 1
-            if total <= min_height:
-                elems.clear()
+    def _subtree(self, prefix: list[int], root: int, start: int, visited: int):
+        """The kernel walking the children of the first `root` elements from `start` on."""
+        kernel = _kernel(self.p, self.total, self.constrained, root)
+        cap = sys.maxsize if self.node_budget is None else self.node_budget  # no walk gets that far
+        return kernel(self, visited, cap, start, *prefix[1:root], *self._frames[root - 1])
+
+    def _resume(self, prefix: list[int], cursor: int):
+        """Finish the subtree of each prefix on the frontier's path, deepest first."""
+        depth, total = len(prefix), self.total
+        if depth == total:  # a restored leaf, or the only node of a one-level search
+            self.leaf_cov, self.leaf_mask, _, _ = self._frames[-1]
+            leaf = tuple(prefix)
+            self._at = leaf if total > self.min_height else ()
+            depth, cursor = total - 1, leaf[-1] + 1
             yield leaf
-        while elems:
-            depth = len(elems)
-            cov, mask, limit, free = frames[-1]
-            if depth < leaf_parent:
-                if depth < constrained:
-                    # jump to the next candidate whose residue is still free
-                    r = c % p
-                    above = free >> r
-                    if above:
-                        c += (above & -above).bit_length() - 1
-                    else:
-                        c += p - r + (free & -free).bit_length() - 1
-                if c > limit:  # every child is done
-                    frames.pop()
-                    c = elems.pop() + 1
-                    if depth <= min_height:
-                        elems.clear()
-                    continue
-                visited += 1
-                cov |= (mask << c) | (1 << (2 * c))
-                limit = ((~cov) & (cov + 1)).bit_length() - 1
-                free &= ~(1 << (c % p))
-                if depth != grandparent:
-                    elems.append(c)
-                    frames.append((cov, mask | (1 << c), limit, free))
-                    c += 1
-                    if visited > cap:
-                        raise self._over_budget(visited, c)
-                    continue
-                # a grandparent's child is a leaf parent and gets no frame: one with no leaf
-                # at or above the floor is counted with its leaves, and one with such a leaf
-                # is on elems while they are yielded
-                leaves = _leaf_candidates(c + 1, limit, free, p, step)
-                if not leaves or leaves[-1] < self.floor:
-                    visited += len(leaves)
-                    if visited <= cap:
-                        c += 1
-                        continue
-                elems.append(c)
-                mask |= 1 << c
-                c += 1
-                if visited > cap:
-                    raise self._over_budget(visited, c)
-            else:
-                # a leaf parent with a frame (a restored frontier, leaves that do
-                # not step, or total == 2) gives it up and yields like the others
-                frames.pop()
-                leaves = _leaf_candidates(c, limit, free, p, step)
-            head = tuple(elems)
-            i, end = 0, len(leaves)
-            while i < end:
-                leaf = leaves[i]
-                if leaf < self.floor:
-                    j = bisect.bisect_left(leaves, self.floor, i)
-                    visited += j - i
-                    if visited > cap:
-                        raise self._over_budget(visited, c)
-                    i = j
-                    continue
-                visited += 1
-                if visited > cap:
-                    raise self._over_budget(visited, c)
-                self.visited = visited
-                self._next = c = leaf + 1
-                self.leaf_cov = cov | (mask << leaf) | (1 << (2 * leaf))
-                self.leaf_mask = mask | (1 << leaf)
-                yield head + (leaf,)
-                i += 1
-            c = elems.pop() + 1
-            if leaf_parent <= min_height:
-                elems.clear()
-        self.visited = visited
+        visited = self.visited
+        for root in range(depth, self.min_height - 1, -1):
+            visited = yield from self._subtree(prefix, root, cursor, visited)
+            cursor = prefix[root - 1] + 1
 
 
-def _leaf_candidates(c: int, limit: int, free: int, p: int, step: int):
-    """A leaf parent's candidates from c up to its limit.
+# CPython compiles at most 20 statically nested blocks (here: loops) in one function
+_NESTING = 20
+_KERNELS: dict = {}
 
-    With a step of 1 (a free level) that is every value, and with a step of
-    p the values in the one residue class left.  With a step of 0 the
-    residues left in `free` are picked one by one.
+
+def _kernel(p: int, total: int, constrained: int, root: int):
+    """The generated DFS below a node of `root` elements, compiled once per shape and process.
+
+    It has one nested loop per level, and keeps the coverage, element
+    mask, limit n + 1, free residues and element of every level in locals
+    (`v`, `m`, `l`, `f` and `c` with the level's index).  A shape with more
+    levels than `_NESTING` walks its top levels here and hands each subtree
+    below them to a kernel rooted deeper, through `yield from`.
     """
-    if step:
-        return range(c + (free.bit_length() - 1 - c) % step, limit + 1, step)
-    return [x for x in range(c, limit + 1) if (free >> (x % p)) & 1]
+    key = (p, total, constrained, root)
+    if key not in _KERNELS:
+        inner = root + _NESTING if total - root > _NESTING else None
+        namespace = {"inner": _kernel(p, total, constrained, inner) if inner else None}
+        source = _kernel_source(p, total, constrained, root, inner)
+        exec(compile(source, f"<kernel {key}>", "exec"), namespace)
+        _KERNELS[key] = namespace["walk"]
+    return _KERNELS[key]
+
+
+def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int | None) -> str:
+    """Source of `walk(dfs, visited, cap, start, c1, ..., c<root - 1>, root's frame)`.
+
+    The walk returns `visited`.  Leaves step by 1 on a free level and by p
+    where one residue is left; otherwise they are picked like inner nodes.
+    """
+    leaf = total - 1  # the index of a leaf's last element
+    step = 1 if constrained <= leaf else p if total == p - 1 else 0
+    free = f"f{root - 1}"
+
+    def upto(k):  # "c1, ..., ck, ", for a tuple display or an argument list
+        return "".join(f"c{i}, " for i in range(1, k + 1))
+
+    lines = [f"def walk(dfs, visited, cap, c{root}, {upto(root - 1)}v{root - 1}, m{root - 1}, "
+             f"l{root - 1}, {free}):"]
+    if inner is None:
+        lines.append("    floor = dfs.floor")
+
+    def emit(depth, *texts):
+        lines.extend("    " * depth + text for text in texts)
+
+    def jump(depth, c):  # the next candidate from c on whose residue is still free
+        emit(depth, f"r = {c} % {p}", f"a = {free} >> r", "if a:",
+             f"    {c} += (a & -a).bit_length() - 1", "else:",
+             f"    {c} += {p} - r + ({free} & -{free}).bit_length() - 1")
+
+    def trip(depth, k):
+        emit(depth, "if visited > cap:",
+             f"    raise dfs._trip(visited, (1, {upto(k)}))")
+
+    depth = 1
+    for k in range(root, leaf if inner is None else inner):
+        emit(depth, "while True:")
+        depth += 1
+        if k < constrained:
+            jump(depth, f"c{k}")
+        emit(depth, f"if c{k} > l{k - 1}:", "    break", "visited += 1",
+             f"v{k} = v{k - 1} | (m{k - 1} << c{k}) | (1 << 2 * c{k})",
+             f"l{k} = (v{k} ^ (v{k} + 1)).bit_length() - 1",
+             f"m{k} = m{k - 1} | (1 << c{k})")
+        if k < constrained:
+            emit(depth, f"f{k} = {free} ^ (1 << c{k} % {p})")
+            free = f"f{k}"
+        trip(depth, k)
+        if k + 1 == inner:
+            emit(depth, f"visited = yield from inner(dfs, visited, cap, c{k} + 1, "
+                        f"{upto(k)}v{k}, m{k}, l{k}, {free})")
+        else:
+            emit(depth, f"c{k + 1} = c{k} + 1")
+    if inner is None:  # the leaves, from c<leaf> on
+        c, q = f"c{leaf}", leaf - 1
+        if step == p:
+            emit(depth, f"{c} += ({free}.bit_length() - 1 - {c}) % {p}")
+        emit(depth, "while True:")
+        if not step:
+            jump(depth + 1, c)
+        emit(depth + 1, f"if {c} > l{q}:", "    break", f"if {c} < floor:")
+        if step == 1:  # count the leaves below the floor at once
+            emit(depth + 2, f"n = min(floor, l{q} + 1) - {c}", "visited += n", f"{c} += n")
+        elif step:
+            emit(depth + 2, f"n = (min(floor, l{q} + 1) - {c} + {p - 1}) // {p}",
+                 "visited += n", f"{c} += n * {p}")
+        else:
+            emit(depth + 2, "visited += 1", f"{c} += 1")
+        trip(depth + 2, q)
+        emit(depth + 2, "continue")
+        emit(depth + 1, "visited += 1")
+        trip(depth + 1, q)
+        emit(depth + 1, "dfs.visited = visited",
+             f"dfs.leaf_cov = v{q} | (m{q} << {c}) | (1 << 2 * {c})",
+             f"dfs.leaf_mask = m{q} | (1 << {c})",
+             f"dfs._at = t = (1, {upto(leaf)})",
+             "yield t", "floor = dfs.floor", f"{c} += {step or 1}")
+    for k in range(depth - 1, 0, -1):
+        emit(k + 1, f"c{root + k - 1} += 1")
+    emit(1, "dfs.visited = visited", "dfs._at = ()", "return visited")
+    return "\n".join(lines) + "\n"
 
 
 def _empty_frame(p: int) -> tuple[int, int, int, int]:
@@ -354,25 +377,38 @@ def _pooled(fold, p: int, total: int, threads: int, *rest):
 
     The results come in the lexicographic order of the subtrees.
     """
+    import multiprocessing  # its only use, so importing the package stays cheap
+
     prefixes = subtree_prefixes(p, total, p - 1, max(1, min(4, p - 2)))
     with multiprocessing.Pool(threads) as pool:
         yield from pool.imap(_subtree_fold, [(fold, p, total, pre, *rest) for pre in prefixes])
 
 
 def classify_raw(elems: tuple[int, ...], cov: int, mask: int, p: int):
-    """(extensible, symmetricisable) for a basis with complete residues.
+    """(extensible, symmetricisable) for an admissible basis with complete residues.
 
-    Arithmetic extensions are checked incrementally up to the threshold
-    index; a pass there settles extensibility, and then one mirrored
-    closure at the symmetric threshold settles symmetricisability.
+    Extensibility is one mask test.  Appending t_i = b_0 + i*p for
+    i = 1..k*, with top b_0 and threshold k* = floor((b_0 - 1) / p), keeps
+    the basis admissible at every step iff each offset y = 1..k*·p is
+    covered: b_0 + y is a sum of two elements already (bit y of
+    cov >> b_0), or b_0 + y = t_j + a with j >= 1 and a an element or 0,
+    that is y = a + j*p.  A sum t_i + t_j is above b_0 + k*·p, and an
+    offset up to i*p needs no t_j beyond t_i, so passing at k* passes every
+    step.  After m doublings `spread` is the OR of mask << j*p for
+    j = 0..2^m - 1, every element copied up its residue class; the copies
+    with j > k* start at (k* + 1)·p >= b_0, above the offsets tested.
+    Then one mirrored closure at the symmetric threshold settles
+    symmetricisability.
     """
     b0 = elems[-1]
-    k_star = (b0 + p - 1) // p - 1
-    for i in range(1, k_star + 1):
-        t = b0 + i * p
-        cov, mask = extend_coverage(cov, mask, t)
-        if range_from_coverage(cov) < t:
-            return False, False
+    k_star = (b0 - 1) // p
+    spread, shift = mask, p
+    while shift < b0:  # until 2^m > k*
+        spread |= spread << shift
+        shift <<= 1
+    window = (1 << (k_star * p + 1)) - 2  # the offsets 1..k*·p
+    if ((cov >> b0) | spread) & window != window:
+        return False, False
     return True, closure_admissible_at(elems, p, k_star + 1)
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import pickle
@@ -30,7 +31,7 @@ from stampbase.search import (
     tail_distribution,
     _subtree_dfs,
 )
-from stampbase.symmetric import is_symmetricisable_plus
+from stampbase.symmetric import closure_profile, is_symmetricisable_plus
 
 from conftest import classified_leaves
 from frozen import CENSUS, CLASSIFICATION, RANGE_COMPARISON
@@ -95,6 +96,98 @@ def test_floor_withholds_leaves_but_counts_them(extra):
     dfs.floor = floor
     assert list(dfs) == [e for e in leaves if e[-1] >= floor]
     assert dfs.visited == full.visited
+
+
+def test_min_height_must_lie_within_the_start_prefix():
+    # a fresh walk starts at the prefix (1,), a restored one at its saved prefix
+    state = {"p": 8, "prefix": [1, 2, 4], "cursors": [3, 5, 5]}
+    for start, heights in ((None, (1,)), (state, (1, 2, 3))):
+        for h in (0, *heights, len(heights) + 1):
+            if h in heights:
+                BasisDFS(8, 7, state=start, min_height=h)
+            else:
+                with pytest.raises(PreconditionError, match="min_height"):
+                    BasisDFS(8, 7, state=start, min_height=h)
+
+
+def walk_digest(p, total, budgets):
+    """Every yield with its state and coverage, walks resumed from some of them, and each
+    budget trip with the walk resumed from it."""
+    def drain(dfs):
+        seen = []
+        try:
+            for elems in dfs:
+                seen.append((elems, dfs.state(), dfs.leaf_cov, dfs.leaf_mask, dfs.visited))
+        except BudgetExceededError as err:
+            seen.append(("trip", err.visited, dfs.state()))
+        return seen
+
+    runs = [drain(BasisDFS(p, total, constrained=p - 1))]
+    for _, state, *_ in runs[0][:-1:max(1, len(runs[0]) // 20)]:
+        runs.append(drain(BasisDFS(p, total, constrained=p - 1, state=state)))
+    for budget in budgets:
+        dfs = BasisDFS(p, total, constrained=p - 1, node_budget=budget)
+        runs.append(drain(dfs))
+        if dfs.state()["prefix"]:
+            runs.append(drain(BasisDFS(p, total, constrained=p - 1, state=dfs.state())))
+    return runs
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
+@pytest.mark.parametrize("p", range(8, 13))
+def test_chained_kernels_walk_like_one(monkeypatch, p, extra):
+    # past the nesting cap a kernel hands each subtree to one rooted deeper
+    total = p - 1 + extra
+    nodes = len(search_nodes(p, total, p - 1)) if p < 10 else 0
+    budgets = range(1, nodes) if nodes else range(1, 20000, 1999)
+    single = walk_digest(p, total, budgets)
+    monkeypatch.setattr(search, "_KERNELS", {})
+    monkeypatch.setattr(search, "_NESTING", 3)
+    assert walk_digest(p, total, budgets) == single
+    outer = search._KERNELS[p, total, p - 1, 1]
+    assert outer.__globals__["inner"] is search._KERNELS[p, total, p - 1, 4]
+
+
+@pytest.mark.parametrize("p", range(3, 31))
+def test_every_shape_compiles(p):
+    # past 20 nested loops CPython refuses a function, so deep shapes are chained
+    for total in (p - 1, p):
+        for depth in range(1, 5):
+            split = max(1, min(depth, total - 1))
+            assert inspect.isgeneratorfunction(search._kernel(p, total, p - 1, split))
+            if split > 1:
+                assert inspect.isgeneratorfunction(search._kernel(p, split, split, 1))
+
+
+def test_a_shape_compiles_once(monkeypatch):
+    compiled = []
+
+    def counting(source, name, mode):
+        compiled.append(name)
+        return compile(source, name, mode)
+
+    monkeypatch.setattr(search, "_KERNELS", {})
+    monkeypatch.setattr(search, "compile", counting, raising=False)
+    for _ in range(3):
+        classify(9)
+        list(BasisDFS(9, 9, constrained=8))
+        for prefix in subtree_prefixes(9, 8, 8, 3):
+            list(_subtree_dfs(9, 8, 8, prefix))
+    assert len(set(compiled)) == len(compiled) == 4
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
+@pytest.mark.parametrize("p", range(3, 12))
+def test_classify_raw_matches_the_reference_procedures(p, extra):
+    for elems, extensible, symmetricisable in classified_leaves(p, extra):
+        basis = Basis(elems)
+        assert extensible == is_extensible(basis, p).extensible, elems
+        if not extensible:
+            assert not symmetricisable, elems
+        elif extra:
+            assert symmetricisable == is_symmetricisable_plus(basis, p).symmetricisable, elems
+        else:
+            assert symmetricisable == closure_profile(basis, p).symmetricisable, elems
 
 
 def test_constrained_levels_need_free_residues():
