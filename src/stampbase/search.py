@@ -33,14 +33,9 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
-from .basis import (
-    Basis,
-    PreconditionError,
-    extend_coverage,
-    first_gap,
-    range_from_coverage,
-)
+from .basis import Basis, PreconditionError, coverage, first_gap, range_from_coverage
 from .extension import is_extensible
 from .symmetric import closure_admissible_at, closure_profile
 
@@ -76,6 +71,9 @@ class BasisDFS:
 
     With `min_height` h, the walk ends when it leaves the subtree of its
     first h elements; h runs from 1 to the depth of the starting prefix.
+    Every walk starts from a checked frontier, a fresh one from the root's
+    (the element 1, with 2 as its next child), and a frontier that has
+    already visited more nodes than `node_budget` is refused there.
     """
 
     def __init__(
@@ -104,26 +102,11 @@ class BasisDFS:
         self.node_budget = node_budget
         self.floor = 0
         self.leaf_cov = self.leaf_mask = None
-        # per element of the prefix: (coverage, element mask, n + 1, nonzero residues still free)
-        self._frames: list[tuple[int, int, int, int]] = []
         if state is None:
-            prefix, cursor = [1], 2
-            self._frames.append(_child(_empty_frame(p), 1, p))
-            self.visited = 1
-            if node_budget is not None and node_budget < 1:
-                raise BudgetExceededError(1, node_budget)
-        else:
-            prefix, cursor = self._restore(state)
-        if not 1 <= min_height <= len(prefix):
-            raise PreconditionError(
-                f"min_height must be within 1..{len(prefix)}, the depth of the "
-                f"starting prefix, not {min_height}"
-            )
+            state = {"prefix": [1], "cursors": [2], "visited": 1}
+        prefix, cursor = self._restore(state)
         self._at = (*prefix, cursor - 1)
-        if len(prefix) == min_height < total:  # one kernel, iterated with nothing in between
-            self._walker = self._subtree(prefix, min_height, cursor, self.visited)
-        else:
-            self._walker = self._resume(prefix, cursor)
+        self._walker = chain.from_iterable(self._path(prefix, cursor))
 
     @property
     def leaf_n(self) -> int | None:
@@ -133,7 +116,7 @@ class BasisDFS:
         return range_from_coverage(self.leaf_cov)
 
     def _restore(self, state: dict) -> tuple[list[int], int]:
-        """Replay a saved frontier, rejecting any that no walk could reach."""
+        """Check a frontier, rejecting any that no walk could reach or the budget forbids."""
         p = self.p
         prefix, cursors = state["prefix"], state["cursors"]
         if not (isinstance(prefix, list) and isinstance(cursors, list)):
@@ -150,9 +133,9 @@ class BasisDFS:
             raise PreconditionError("corrupt state: prefix is deeper than the search")
         if any(type(x) is not int for x in prefix + cursors + [visited]):
             raise PreconditionError("corrupt state: entries must be integers")
-        frame, prev = _empty_frame(p), 0
         for level, c in enumerate(prefix):
-            _, _, limit, free = frame
+            _, _, limit, free = _frame(prefix[:level], p)
+            prev = prefix[level - 1] if level else 0
             if not prev < c <= limit:
                 raise PreconditionError(
                     f"corrupt state: element {c} at level {level} is outside "
@@ -164,8 +147,6 @@ class BasisDFS:
                     f"corrupt state: element {c} at level {level} repeats "
                     f"residue {r} mod {p} or is divisible by it"
                 )
-            frame, prev = _child(frame, c, p), c
-            self._frames.append(frame)
         # levels below min_height - 1 are never resumed, so their cursors are free
         for level in range(max(self.min_height - 1, 0), len(prefix) - 1):
             if cursors[level] != prefix[level + 1] + 1:
@@ -173,13 +154,21 @@ class BasisDFS:
                     f"corrupt state: cursor {cursors[level]} at level {level} "
                     f"does not follow element {prefix[level + 1]}"
                 )
-        if not prefix[-1] < cursors[-1] <= frame[2] + 1:
+        limit = _frame(prefix, p)[2]
+        if not prefix[-1] < cursors[-1] <= limit + 1:
             raise PreconditionError(
                 f"corrupt state: last cursor {cursors[-1]} is outside "
-                f"({prefix[-1]}, n + 2 = {frame[2] + 1}]"
+                f"({prefix[-1]}, n + 2 = {limit + 1}]"
             )
         if visited < len(prefix):
             raise PreconditionError("corrupt state: fewer nodes visited than the prefix holds")
+        if not 1 <= self.min_height <= len(prefix):
+            raise PreconditionError(
+                f"min_height must be within 1..{len(prefix)}, the depth of the "
+                f"starting prefix, not {self.min_height}"
+            )
+        if self.node_budget is not None and visited > self.node_budget:
+            raise BudgetExceededError(visited, self.node_budget)
         self.visited = visited
         return prefix, cursors[-1]
 
@@ -210,24 +199,26 @@ class BasisDFS:
         self.visited = visited = min(visited, self.node_budget + 1)
         return BudgetExceededError(visited, self.node_budget)
 
-    def _subtree(self, prefix: list[int], root: int, start: int, visited: int):
-        """The kernel walking the children of the first `root` elements from `start` on."""
-        kernel = _kernel(self.p, self.total, self.constrained, root)
-        cap = sys.maxsize if self.node_budget is None else self.node_budget  # no walk gets that far
-        return kernel(self, visited, cap, start, *prefix[1:root], *self._frames[root - 1])
+    def _path(self, prefix: list[int], cursor: int):
+        """The walks that finish the subtree of each prefix on the frontier's path, deepest first.
 
-    def _resume(self, prefix: list[int], cursor: int):
-        """Finish the subtree of each prefix on the frontier's path, deepest first."""
-        depth, total = len(prefix), self.total
+        Each kernel is built when the one before it has ended, so it starts
+        from the `visited` that one left.
+        """
+        p, total = self.p, self.total
+        depth = len(prefix)
         if depth == total:  # a restored leaf, or the only node of a one-level search
-            self.leaf_cov, self.leaf_mask, _, _ = self._frames[-1]
+            self.leaf_cov, self.leaf_mask, _, _ = _frame(prefix, p)
             leaf = tuple(prefix)
             self._at = leaf if total > self.min_height else ()
             depth, cursor = total - 1, leaf[-1] + 1
-            yield leaf
-        visited = self.visited
+            yield (leaf,)
+        cap = sys.maxsize if self.node_budget is None else self.node_budget  # no walk gets that far
         for root in range(depth, self.min_height - 1, -1):
-            visited = yield from self._subtree(prefix, root, cursor, visited)
+            yield _kernel(p, total, self.constrained, root)(
+                self, self.visited, cap, cursor, *prefix[1:root], *_frame(prefix[:root], p))
+            if self._at:  # the budget stopped that kernel, and state() resumes it
+                return
             cursor = prefix[root - 1] + 1
 
 
@@ -334,16 +325,11 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
     return "\n".join(lines) + "\n"
 
 
-def _empty_frame(p: int) -> tuple[int, int, int, int]:
-    """The empty prefix: only 0 is covered, so the first element must be 1."""
-    return 1, 1, 1, (1 << p) - 2
-
-
-def _child(frame: tuple[int, int, int, int], c: int, p: int) -> tuple[int, int, int, int]:
-    """Frame of a prefix after appending c to the prefix described by `frame`."""
-    cov, mask, _, free = frame
-    cov, mask = extend_coverage(cov, mask, c)
-    return cov, mask, first_gap(cov), free & ~(1 << (c % p))
+def _frame(prefix: list[int], p: int) -> tuple[int, int, int, int]:
+    """(coverage, element mask, n + 1, nonzero residues still free) of a prefix."""
+    cov, mask = coverage(prefix)
+    free = ((1 << p) - 2) & ~sum(1 << r for r in {a % p for a in prefix})
+    return cov, mask, first_gap(cov), free
 
 
 def _mode_levels(p: int, mode: str) -> tuple[int, int]:
@@ -597,7 +583,8 @@ def save_checkpoint(path: str, state: dict) -> None:
     os.replace(tmp, path)
 
 
-def load_checkpoint(path: str) -> dict:
+def load_checkpoint(path: str, p: int, mode: str, classify_records: bool) -> tuple[dict, dict]:
+    """(frontier, record counts) of a checkpoint, if a run of this p, mode and flag wrote it."""
     try:
         with open(path, encoding="utf-8") as fh:
             state = json.load(fh)
@@ -610,16 +597,18 @@ def load_checkpoint(path: str) -> dict:
     for key in ("p", "prefix", "cursors", "visited", "partial_stats"):
         if key not in state:
             raise PreconditionError(f"checkpoint is missing field {key!r}")
-    if not isinstance(state["partial_stats"], dict):
+    stats = state["partial_stats"]
+    if not isinstance(stats, dict):
         raise PreconditionError("checkpoint field 'partial_stats' is not an object")
-    return state
-
-
-def _resumed_counts(ckpt: dict, classify_records: bool) -> dict:
-    """The checkpoint's record counts, if a run could have reached them."""
-    stats = ckpt["partial_stats"]
+    if state["p"] != p or stats.get("mode") != mode:
+        raise PreconditionError(
+            "checkpoint does not match the requested run "
+            f"(p={state['p']}, mode={stats.get('mode')!r})"
+        )
+    if bool(stats.get("classify")) != bool(classify_records):
+        raise PreconditionError("checkpoint classify flag does not match")
     counts = {"count": stats.get("count"), "n_e": stats.get("n_e", 0), "n_s": stats.get("n_s", 0)}
-    visited = ckpt["visited"]
+    visited = state["visited"]
     if not (
         all(type(v) is int for v in (*counts.values(), visited))
         and 0 <= counts["n_s"] <= counts["n_e"] <= counts["count"] <= visited
@@ -629,7 +618,7 @@ def _resumed_counts(ckpt: dict, classify_records: bool) -> dict:
             f"corrupt checkpoint counts {counts} after {visited!r} nodes: need "
             "integers 0 <= n_s <= n_e <= count <= visited, and n_e = 0 unless classifying"
         )
-    return counts
+    return {k: state[k] for k in ("p", "prefix", "cursors", "visited")}, counts
 
 
 # the end of a classified record, by extensible + symmetricisable (0, 1 or 2)
@@ -661,9 +650,9 @@ def _record_lines(dfs: BasisDFS, p: int, mode: str, classify_records: bool, coun
 
 
 def _records_subtree(dfs: BasisDFS, p: int, mode: str, classify_records: bool):
-    """(record lines, counts) of one subtree, for the parallel emitter."""
+    """(records as one string, counts) of one subtree, for the parallel emitter."""
     counts = dict.fromkeys(_COUNT_KEYS, 0)
-    return list(_record_lines(dfs, p, mode, classify_records, counts)), counts
+    return "".join(_record_lines(dfs, p, mode, classify_records, counts)), counts
 
 
 def run_enumeration(
@@ -694,23 +683,14 @@ def run_enumeration(
         raise PreconditionError("checkpointing needs a record file (--out)")
     _reject_budget_with_threads(threads, node_budget)
 
-    counts = dict.fromkeys(_COUNT_KEYS, 0)
-    state = None
-    if resume:
-        if not checkpoint_path:
-            raise PreconditionError("--resume needs a checkpoint file")
-        ckpt = load_checkpoint(checkpoint_path)
-        stats = ckpt["partial_stats"]
-        if ckpt["p"] != p or stats.get("mode") != mode:
-            raise PreconditionError(
-                "checkpoint does not match the requested run "
-                f"(p={ckpt['p']}, mode={stats.get('mode')!r})"
-            )
-        if bool(stats.get("classify")) != bool(classify_records):
-            raise PreconditionError("checkpoint classify flag does not match")
-        counts = _resumed_counts(ckpt, classify_records)
-        state = {k: ckpt[k] for k in ("p", "prefix", "cursors", "visited")}
-    # built before the record file is opened, so a corrupt frontier leaves it as it was
+    if resume and not checkpoint_path:
+        raise PreconditionError("--resume needs a checkpoint file")
+    state, counts = (
+        load_checkpoint(checkpoint_path, p, mode, classify_records) if resume
+        else (None, dict.fromkeys(_COUNT_KEYS, 0))
+    )
+    # built before the record file is opened, so a corrupt frontier, or one already over
+    # the budget, leaves it as it was
     dfs = None if threads > 1 else BasisDFS(
         p, total, constrained=p - 1, state=state, node_budget=node_budget
     )
@@ -718,8 +698,8 @@ def run_enumeration(
     def emit_records(sink):
         """Write the records, flushing only before each checkpoint and at the end."""
         if dfs is None:
-            for lines, part in _pooled(_records_subtree, p, total, threads, mode, classify_records):
-                sink.write("".join(lines))
+            for text, part in _pooled(_records_subtree, p, total, threads, mode, classify_records):
+                sink.write(text)
                 for key in _COUNT_KEYS:
                     counts[key] += part[key]
             return

@@ -288,6 +288,20 @@ def test_enumerate_resume_rejects_corrupt_counts(tmp_path, capsys, classify, cor
     assert out.read_bytes() == records
 
 
+def test_enumerate_resume_over_budget_changes_nothing(tmp_path, capsys):
+    # a budget means the same on a resume: the saved nodes already exceed it
+    out, ckpt = tmp_path / "o.jsonl", tmp_path / "c.json"
+    argv = ["enumerate", "10", "--classify", "--out", str(out), "--checkpoint", str(ckpt),
+            "--checkpoint-every", "50"]
+    assert run_cli(capsys, *argv, "--node-budget", "400")[0] == 3
+    assert json.loads(ckpt.read_text())["visited"] == 372
+    records, frontier = out.read_bytes(), ckpt.read_bytes()
+    code, out_text, err = run_cli(capsys, *argv, "--node-budget", "100", "--resume")
+    assert (code, out_text) == (3, "")
+    assert err == "error: node budget exceeded: visited 372 > 100\n"
+    assert (out.read_bytes(), ckpt.read_bytes()) == (records, frontier)
+
+
 def test_enumerate_checkpoint_needs_a_record_file(tmp_path, monkeypatch, capsys):
     # stdout cannot be cut back to a checkpoint's count, so a resume would
     # print again the records after it

@@ -312,6 +312,42 @@ def test_budget_trip_state_holds_the_node_over_budget(p, extra):
                                "visited": budget + 1}
 
 
+def test_restore_over_budget_raises_at_construction():
+    dfs = BasisDFS(10, 9, node_budget=300)
+    with pytest.raises(BudgetExceededError):
+        list(dfs)
+    saved = dfs.state()
+    assert saved["visited"] == 301
+    with pytest.raises(BudgetExceededError) as err:
+        BasisDFS(10, 9, state=saved, node_budget=200)
+    assert (err.value.visited, err.value.budget) == (301, 200)
+    # at the budget, the first node the restored walk visits trips it
+    dfs = BasisDFS(10, 9, state=saved, node_budget=301)
+    with pytest.raises(BudgetExceededError) as err:
+        next(dfs)
+    assert err.value.visited == dfs.visited == 302
+    assert dfs.state() == saved | {"visited": 302}
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
+def test_a_tripped_walk_is_over(extra):
+    # after the budget error the walk yields nothing more, whichever kernel
+    # on the frontier's path tripped; state() is where it resumes
+    p, total = 8, 7 + extra
+    walk, trips = BasisDFS(p, total, constrained=p - 1), 0
+    for _ in walk:
+        saved = walk.state()
+        for more in range(1, 6):
+            dfs = BasisDFS(p, total, constrained=p - 1, state=saved,
+                           node_budget=saved["visited"] + more)
+            try:
+                list(dfs)
+            except BudgetExceededError:
+                assert list(dfs) == []
+                trips += 1
+    assert trips > 0
+
+
 def test_budget_abort_reports_node_counts():
     with pytest.raises(BudgetExceededError) as err:
         enumerate_p_bases(10, node_budget=50)
@@ -506,8 +542,8 @@ def test_checkpoint_resume_byte_identical(tmp_path):
             node_budget=300,
         )
     assert ckpt.exists()
-    saved = load_checkpoint(str(ckpt))
-    assert saved["p"] == 10 and saved["partial_stats"]["count"] > 0
+    frontier, counts = load_checkpoint(str(ckpt), 10, "plain", True)
+    assert frontier["p"] == 10 and counts["count"] > 0
 
     run_enumeration(
         10,
