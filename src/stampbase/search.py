@@ -37,7 +37,7 @@ from itertools import chain
 
 from .basis import Basis, PreconditionError, coverage, first_gap, range_from_coverage
 from .extension import is_extensible
-from .symmetric import closure_admissible_at, closure_profile
+from .symmetric import closure_profile, symmetricisable_raw
 
 class BudgetExceededError(RuntimeError):
     """The search visited more nodes than the configured budget allows."""
@@ -74,6 +74,11 @@ class BasisDFS:
     Every walk starts from a checked frontier, a fresh one from the root's
     (the element 1, with 2 as its next child), and a frontier that has
     already visited more nodes than `node_budget` is refused there.
+
+    A census (`_tail_rows`) sets `_tally` to a list before the walk starts.
+    Its kernels then count each leaf into that list, by 3 * tail +
+    extensible + symmetricisable, instead of yielding it.  Such a walk
+    keeps no frontier at its leaves, so it is not resumed after a trip.
     """
 
     def __init__(
@@ -101,7 +106,7 @@ class BasisDFS:
         self.min_height = min_height
         self.node_budget = node_budget
         self.floor = 0
-        self.leaf_cov = self.leaf_mask = None
+        self.leaf_cov = self.leaf_mask = self._tally = None
         if state is None:
             state = {"prefix": [1], "cursors": [2], "visited": 1}
         prefix, cursor = self._restore(state)
@@ -205,7 +210,7 @@ class BasisDFS:
         Each kernel is built when the one before it has ended, so it starts
         from the `visited` that one left.
         """
-        p, total = self.p, self.total
+        p, total, tally = self.p, self.total, self._tally is not None
         depth = len(prefix)
         if depth == total:  # a restored leaf, or the only node of a one-level search
             self.leaf_cov, self.leaf_mask, _, _ = _frame(prefix, p)
@@ -215,8 +220,10 @@ class BasisDFS:
             yield (leaf,)
         cap = sys.maxsize if self.node_budget is None else self.node_budget  # no walk gets that far
         for root in range(depth, self.min_height - 1, -1):
-            yield _kernel(p, total, self.constrained, root)(
+            walk = _kernel(p, total, self.constrained, root, tally)(
                 self, self.visited, cap, cursor, *prefix[1:root], *_frame(prefix[:root], p))
+            if not tally:  # a tally kernel has run to its end by now, and yields no leaf
+                yield walk
             if self._at:  # the budget stopped that kernel, and state() resumes it
                 return
             cursor = prefix[root - 1] + 1
@@ -227,30 +234,37 @@ _NESTING = 20
 _KERNELS: dict = {}
 
 
-def _kernel(p: int, total: int, constrained: int, root: int):
+def _kernel(p: int, total: int, constrained: int, root: int, tally: bool = False):
     """The generated DFS below a node of `root` elements, compiled once per shape and process.
 
     It has one nested loop per level, and keeps the coverage, element
     mask, limit n + 1, free residues and element of every level in locals
     (`v`, `m`, `l`, `f` and `c` with the level's index).  A shape with more
     levels than `_NESTING` walks its top levels here and hands each subtree
-    below them to a kernel rooted deeper, through `yield from`.
+    below them to a kernel rooted deeper, through `yield from`, or through
+    a call in a tally kernel, which is a plain function.
     """
-    key = (p, total, constrained, root)
+    key = (p, total, constrained, root, "tally") if tally else (p, total, constrained, root)
     if key not in _KERNELS:
         inner = root + _NESTING if total - root > _NESTING else None
-        namespace = {"inner": _kernel(p, total, constrained, inner) if inner else None}
-        source = _kernel_source(p, total, constrained, root, inner)
+        namespace = {"inner": _kernel(p, total, constrained, inner, tally) if inner else None,
+                     "search": sys.modules[__name__]}
+        source = _kernel_source(p, total, constrained, root, inner, tally)
         exec(compile(source, f"<kernel {key}>", "exec"), namespace)
         _KERNELS[key] = namespace["walk"]
     return _KERNELS[key]
 
 
-def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int | None) -> str:
+def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int | None,
+                   tally: bool = False) -> str:
     """Source of `walk(dfs, visited, cap, start, c1, ..., c<root - 1>, root's frame)`.
 
     The walk returns `visited`.  Leaves step by 1 on a free level and by p
     where one residue is left; otherwise they are picked like inner nodes.
+    The tally variant walks the plain p-bases and classifies each leaf in
+    place, as `classify_raw` does, into `dfs._tally`: the bound on b_0,
+    then the window test, then `symmetricisable_raw`, looked up through
+    this module when it is called.
     """
     leaf = total - 1  # the index of a leaf's last element
     step = 1 if constrained <= leaf else p if total == p - 1 else 0
@@ -262,7 +276,7 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
     lines = [f"def walk(dfs, visited, cap, c{root}, {upto(root - 1)}v{root - 1}, m{root - 1}, "
              f"l{root - 1}, {free}):"]
     if inner is None:
-        lines.append("    floor = dfs.floor")
+        lines.append("    tally = dfs._tally" if tally else "    floor = dfs.floor")
 
     def emit(depth, *texts):
         lines.extend("    " * depth + text for text in texts)
@@ -291,8 +305,8 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
             free = f"f{k}"
         trip(depth, k)
         if k + 1 == inner:
-            emit(depth, f"visited = yield from inner(dfs, visited, cap, c{k} + 1, "
-                        f"{upto(k)}v{k}, m{k}, l{k}, {free})")
+            emit(depth, f"visited = {'' if tally else 'yield from '}inner(dfs, visited, cap, "
+                        f"c{k} + 1, {upto(k)}v{k}, m{k}, l{k}, {free})")
         else:
             emit(depth, f"c{k + 1} = c{k} + 1")
     if inner is None:  # the leaves, from c<leaf> on
@@ -302,23 +316,34 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
         emit(depth, "while True:")
         if not step:
             jump(depth + 1, c)
-        emit(depth + 1, f"if {c} > l{q}:", "    break", f"if {c} < floor:")
-        if step == 1:  # count the leaves below the floor at once
-            emit(depth + 2, f"n = min(floor, l{q} + 1) - {c}", "visited += n", f"{c} += n")
-        elif step:
-            emit(depth + 2, f"n = (min(floor, l{q} + 1) - {c} + {p - 1}) // {p}",
-                 "visited += n", f"{c} += n * {p}")
-        else:
-            emit(depth + 2, "visited += 1", f"{c} += 1")
-        trip(depth + 2, q)
-        emit(depth + 2, "continue")
+        emit(depth + 1, f"if {c} > l{q}:", "    break")
+        if not tally:
+            emit(depth + 1, f"if {c} < floor:")
+            if step == 1:  # count the leaves below the floor at once
+                emit(depth + 2, f"n = min(floor, l{q} + 1) - {c}", "visited += n", f"{c} += n")
+            elif step:
+                emit(depth + 2, f"n = (min(floor, l{q} + 1) - {c} + {p - 1}) // {p}",
+                     "visited += n", f"{c} += n * {p}")
+            else:
+                emit(depth + 2, "visited += 1", f"{c} += 1")
+            trip(depth + 2, q)
+            emit(depth + 2, "continue")
         emit(depth + 1, "visited += 1")
         trip(depth + 1, q)
-        emit(depth + 1, "dfs.visited = visited",
-             f"dfs.leaf_cov = v{q} | (m{q} << {c}) | (1 << 2 * {c})",
-             f"dfs.leaf_mask = m{q} | (1 << {c})",
-             f"dfs._at = t = (1, {upto(leaf)})",
-             "yield t", "floor = dfs.floor", f"{c} += {step or 1}")
+        if tally:  # e = extensible + symmetricisable, as in classify_raw
+            emit(depth + 1, "e = 0", f"if {c} <= {f'c{q}' if q else 1} + {p // 2}:",
+                 f"    s, w = m{q}, {p}", f"    while w < {c}:", "        s |= s << w",
+                 "        w <<= 1", f"    w = (1 << ({c} - 1) // {p} * {p} + 1) - 2",
+                 f"    if ((v{q} >> {c}) | s) & w == w:",
+                 f"        e = 1 + search.symmetricisable_raw((1, {upto(leaf)}), "
+                 f"m{q} | 1 << {c}, {p})",
+                 f"tally[3 * {c} + e] += 1", f"{c} += {p}")
+        else:
+            emit(depth + 1, "dfs.visited = visited",
+                 f"dfs.leaf_cov = v{q} | (m{q} << {c}) | (1 << 2 * {c})",
+                 f"dfs.leaf_mask = m{q} | (1 << {c})",
+                 f"dfs._at = t = (1, {upto(leaf)})",
+                 "yield t", "floor = dfs.floor", f"{c} += {step or 1}")
     for k in range(depth - 1, 0, -1):
         emit(k + 1, f"c{root + k - 1} += 1")
     emit(1, "dfs.visited = visited", "dfs._at = ()", "return visited")
@@ -383,10 +408,19 @@ def classify_raw(elems: tuple[int, ...], cov: int, mask: int, p: int):
     step.  After m doublings `spread` is the OR of mask << j*p for
     j = 0..2^m - 1, every element copied up its residue class; the copies
     with j > k* start at (k* + 1)·p >= b_0, above the offsets tested.
-    Then one mirrored closure at the symmetric threshold settles
+    One comparison before the mask test rejects many bases.  Let x be the
+    top of the p-basis (b_0 itself for a plain one) and e the element
+    below b_0.  If x > p, the offset y = x - p <= k*·p lies in x's residue
+    class below every element of it, and y is no element, so b_0 + y must
+    be a sum of two elements below b_0: b_0 + x - p <= 2e, that is
+    b_0 <= e + floor(p/2) for a plain basis and b_0 <= e + p for a plus
+    basis.  If x < p, the bound holds anyway, as b_0 <= n + 1 <= 2e + 1
+    for the elements below b_0.  Then `symmetricisable_raw` settles
     symmetricisability.
     """
     b0 = elems[-1]
+    if b0 + elems[p - 2] - p > 2 * elems[-2]:
+        return False, False
     k_star = (b0 - 1) // p
     spread, shift = mask, p
     while shift < b0:  # until 2^m > k*
@@ -395,7 +429,7 @@ def classify_raw(elems: tuple[int, ...], cov: int, mask: int, p: int):
     window = (1 << (k_star * p + 1)) - 2  # the offsets 1..k*·p
     if ((cov >> b0) | spread) & window != window:
         return False, False
-    return True, closure_admissible_at(elems, p, k_star + 1)
+    return True, symmetricisable_raw(elems, mask, p)
 
 
 @dataclass(frozen=True)
@@ -460,16 +494,19 @@ class ClassStats:
 
 
 def _tail_rows(dfs: BasisDFS, p: int) -> Counter:
-    """Leaves of the walk per key 3 * tail + extensible + symmetricisable.
+    """Leaves of a walk of p-bases per key 3 * tail + extensible + symmetricisable.
 
     A symmetricisable basis is always extensible, so key % 3 is 0 for
-    neither, 1 for extensible only and 2 for both.
+    neither, 1 for extensible only and 2 for both.  The walk's tally
+    kernels count the leaves; k elements generate at most k(k + 3)/2
+    values, so no leaf's top is above that for k = total - 1, plus one.
     """
-    rows = Counter()
-    for elems in dfs:
+    k = dfs.total - 1
+    dfs._tally = tally = [0] * (3 * (k * (k + 3) // 2 + 2))
+    for elems in dfs:  # only a frontier restored at a leaf yields one
         ext, sym = classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p)
-        rows[3 * elems[-1] + ext + sym] += 1
-    return rows
+        tally[3 * elems[-1] + ext + sym] += 1
+    return Counter({key: n for key, n in enumerate(tally) if n})
 
 
 def _tail_counts(p: int, threads: int = 1, node_budget: int | None = None) -> Counter:

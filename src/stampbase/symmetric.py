@@ -18,6 +18,12 @@ profile over j = 0..m0 is reported alongside the verdict.
 For a p-basis the origin has r = p - 1 elements; the plus variant mirrors
 all r = p elements of a p-basis with one extra free element a_p, and uses
 the same threshold test with b_0 = a_p (the test is sufficient there).
+
+For an extensible origin O the verdict has a difference-set form, which
+`symmetricisable_raw` decides without building S_{m0}: it is admissible
+iff every w in [0, b_0) is a difference a - a' of two elements of O ∪ {0}
+or lies in (b_0 - a) + pℕ for some a in O.  `closure_admissible_at`
+builds the closure literally and stays as the reference.
 """
 
 from __future__ import annotations
@@ -152,3 +158,29 @@ def closure_admissible_at(origin_elements: tuple[int, ...], p: int, m: int) -> b
     elems = origin_elements + ext + mirrored
     cov, _ = coverage(elems)
     return range_from_coverage(cov) >= elems[-1]
+
+
+def symmetricisable_raw(elems: tuple[int, ...], mask: int, p: int) -> bool:
+    """Symmetricisability of an extensible origin, from its elements and element mask.
+
+    Proof of the difference-set form: the origin's extension covers
+    1..b_m, so S_m (m = m0) is admissible iff it covers b_m + b_0 - w for
+    every w in [0, b_0).  A mirror term c = b_m + b_0 - a (a in O ∪ {0},
+    and c = b_m for a = b_0) plus a' in O ∪ {0} lands on w = a - a'.  An
+    arithmetic term b_i plus a in O lands on w = (b_0 - a) + (m - i)p.
+    Two arithmetic terms land on multiples of p, which a = b_0 gives
+    already; two origin elements land at most on 2b_0 <= b_m; and a
+    mirror term plus an arithmetic or mirror term lands above b_m + b_0.
+    `mirror` holds every b_0 - a copied up its residue class past b_0.
+    """
+    b0 = elems[-1]
+    differences, mirror = mask, 0
+    for a in elems:
+        differences |= mask >> a
+        mirror |= 1 << b0 - a
+    shift = p
+    while shift < b0:  # after m doublings, the copies b_0 - a + j*p for j < 2^m
+        mirror |= mirror << shift
+        shift <<= 1
+    low = (1 << b0) - 1  # w = 0..b_0 - 1
+    return (differences | mirror) & low == low

@@ -60,6 +60,21 @@ def test_table_stdout(table):
     assert sha(out) == TABLES[table]
 
 
+def test_classification_at_two_threads():
+    code, out = run("tables", "3", "--p-max", "12", "--threads", "2")
+    assert code == 0
+    assert sha(out) == TABLES[3]
+
+
+def test_classification_over_budget():
+    # p = 10 has 501 nodes, so the run stops there with no table
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run("tables", "3", "--p-max", "10", "--node-budget", "300")
+    assert (code, out) == (3, b"")
+    assert err.getvalue() == "error: node budget exceeded: visited 301 > 300\n"
+
+
 PLUS_10 = "b463fea665d79dccb037e023a54742715fc3d1847901f172549ceefbe7baeb63"
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -30,6 +31,8 @@ from stampbase.search import (
     subtree_prefixes,
     tail_distribution,
     _subtree_dfs,
+    _tail_counts,
+    _tail_rows,
 )
 from stampbase.symmetric import closure_profile, is_symmetricisable_plus
 
@@ -174,6 +177,78 @@ def test_a_shape_compiles_once(monkeypatch):
         for prefix in subtree_prefixes(9, 8, 8, 3):
             list(_subtree_dfs(9, 8, 8, prefix))
     assert len(set(compiled)) == len(compiled) == 4
+
+
+# sha256 of the yield walk's source, taken before the tally variant existed
+KERNEL_SOURCES = {
+    (8, 7, 7, 1, None): "ecd9ada6b723fd49164b43340406f7b3a382ffc4526eca129a6dbefe5ae1bb29",
+    (9, 9, 8, 1, None): "64741723fded9f1a8adb93cb3f619eec2212bd9e2269d102bd8389ec08b05740",
+    (12, 11, 11, 4, None): "c6c48e0f9a25b5f28ed6d2517a463eebb5a64d4d22a5a0700467f4a4fcb90c7a",
+    (23, 22, 22, 1, 21): "937cdc5ea3a183b8675e27e9a1950594a5260c0e93ff2b2e664ff5ab9f62df20",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(KERNEL_SOURCES))
+def test_the_yield_walk_source_is_pinned(shape):
+    source = search._kernel_source(*shape).encode()
+    assert hashlib.sha256(source).hexdigest() == KERNEL_SOURCES[shape]
+
+
+def yielded_rows(p):
+    """`_tail_rows`'s tally, built from the yield walk and `classify_raw`."""
+    rows = Counter()
+    for elems, ext, sym in classified_leaves(p):
+        rows[3 * elems[-1] + ext + sym] += 1
+    return rows
+
+
+@pytest.mark.parametrize("p", range(3, 14))
+def test_the_tally_walk_counts_like_the_yield_walk(p):
+    rows = yielded_rows(p)
+    assert _tail_counts(p) == rows
+    assert _tail_counts(p, threads=2) == rows
+
+
+@pytest.mark.parametrize("p", range(8, 13))
+def test_chained_tally_kernels_count_like_one(monkeypatch, p):
+    rows = yielded_rows(p)
+    monkeypatch.setattr(search, "_KERNELS", {})
+    monkeypatch.setattr(search, "_NESTING", 3)
+    assert _tail_counts(p) == rows
+    assert search._KERNELS[p, p - 1, p - 1, 1, "tally"].__globals__["inner"] is (
+        search._KERNELS[p, p - 1, p - 1, 4, "tally"])
+
+
+def test_a_tally_walk_restored_at_a_leaf_counts_that_leaf():
+    for elems, ext, sym in classified_leaves(8):
+        assert _tail_rows(_subtree_dfs(8, 7, 7, elems), 8) == {3 * elems[-1] + ext + sym: 1}
+
+
+@pytest.mark.parametrize("p", range(7, 10))
+def test_a_tally_walk_trips_like_the_yield_walk(p):
+    def outcome(run):
+        try:
+            return run()
+        except BudgetExceededError as err:
+            return ("trip", err.visited, str(err))
+
+    nodes = len(search_nodes(p, p - 1, p - 1))
+    for budget in range(1, nodes + 2):
+        drained = outcome(lambda: len(list(BasisDFS(p, p - 1, node_budget=budget))))
+        counted = outcome(lambda: classify(p, node_budget=budget).n_p)
+        assert counted == drained, budget
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
+@pytest.mark.parametrize("p", range(3, 14))
+def test_the_top_bound_rejects_no_extensible_leaf(p, extra):
+    # classify_raw's bound: b_0 + x - p <= 2e, x the p-basis top, e the second-largest
+    rejected = 0
+    for elems in BasisDFS(p, p - 1 + extra, constrained=p - 1):
+        if elems[-1] + elems[p - 2] - p > 2 * elems[-2]:
+            rejected += 1
+            assert not is_extensible(Basis(elems), p).extensible, elems
+    assert rejected or p < 8  # the bound first bites at p = 5 plain and p = 8 plus
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])

@@ -7,6 +7,7 @@ from stampbase.basis import (
     BasisError,
     PreconditionError,
     basis_range,
+    coverage,
     is_symmetric,
 )
 from stampbase.symmetric import (
@@ -17,10 +18,12 @@ from stampbase.symmetric import (
     is_symmetricisable,
     is_symmetricisable_plus,
     m_zero,
+    symmetricisable_raw,
 )
 
+from conftest import classified_leaves
 from frozen import COUNTEREXAMPLES, OPTIMAL_CLOSURE_14, SMALL_CLOSURE_10
-from oracles import brute_closure
+from oracles import brute_admissible, brute_closure
 
 
 def origins():
@@ -129,3 +132,21 @@ def test_raw_closure_check_matches_profile():
     for elements, p, profile in COUNTEREXAMPLES:
         for m, expected in enumerate(profile):
             assert closure_admissible_at(elements, p, m) is expected
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2], ids=["plain", "plus", "depth-two"])
+@pytest.mark.parametrize("p", range(3, 10))
+def test_difference_set_test_matches_the_brute_closure(p, extra):
+    for elems, extensible, _ in classified_leaves(p, extra):
+        if extensible:
+            closure = brute_closure(elems, p, m_zero(elems[-1], p))
+            assert symmetricisable_raw(elems, coverage(elems)[1], p) is brute_admissible(closure), elems
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
+@pytest.mark.parametrize("p", range(10, 14))
+def test_difference_set_test_matches_the_literal_closure(p, extra):
+    for elems, extensible, _ in classified_leaves(p, extra):
+        if extensible:
+            literal = closure_admissible_at(elems, p, m_zero(elems[-1], p))
+            assert symmetricisable_raw(elems, coverage(elems)[1], p) is literal, elems
