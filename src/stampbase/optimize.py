@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .basis import Basis, PreconditionError
-from .search import BasisDFS, _mode_levels, classify_raw
+from .search import BasisDFS, _mode_levels
 from .symmetric import closure_profile
 
 
@@ -45,24 +45,19 @@ def maximal_symmetricisable(
 
     The tail is a strictly increasing function of the last element, so
     once a symmetricisable basis is found no leaf with a smaller last
-    element can win: the search floor rises to each new best, and the
-    leaves below it are counted but neither built nor classified.
+    element can win.  The walk's "maximal" fold classifies the leaves in
+    its kernel and keeps the symmetricisable ones with the largest last
+    element, in walk order.  That element is the fold's floor: the leaves
+    below it are counted but neither built nor classified.
     """
     total, shift = _mode_levels(p, mode)
     dfs = BasisDFS(p, total, constrained=p - 1, node_budget=node_budget)
-    best_tail = -1
-    best: list[Basis] = []
-    for elems in dfs:  # below the floor nothing comes out, so tail >= best_tail
-        if not classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p)[1]:
-            continue
-        tail = elems[-1] - shift
-        if tail > best_tail:
-            best_tail, best = tail, []
-            dfs.floor = elems[-1]
-        best.append(Basis(elems))
-    if best_tail < 0:
+    dfs._fold, dfs._tally = "maximal", []
+    next(dfs, None)  # the fold runs the whole walk and yields nothing
+    if not dfs._tally:
         raise PreconditionError(f"no symmetricisable basis exists for p = {p}")
-    return MaximalBasisSet(p=p, mode=mode, tail=best_tail, bases=tuple(best))
+    bases = tuple(map(Basis, dfs._tally))
+    return MaximalBasisSet(p=p, mode=mode, tail=bases[0].elements[-1] - shift, bases=bases)
 
 
 @dataclass(frozen=True)

@@ -65,9 +65,6 @@ class BasisDFS:
     holds its frontier as one tuple: the prefix, then one less than the
     next candidate for the element after it.  At a yield that tuple is the
     leaf itself.  Every node counts towards `visited`, leaves included.
-    Setting `floor` withholds the leaves whose last element is below it:
-    they are counted arithmetically, so `visited` and the node budget still
-    see them, but no tuple or coverage is built for them.
 
     With `min_height` h, the walk ends when it leaves the subtree of its
     first h elements; h runs from 1 to the depth of the starting prefix.
@@ -75,10 +72,11 @@ class BasisDFS:
     (the element 1, with 2 as its next child), and a frontier that has
     already visited more nodes than `node_budget` is refused there.
 
-    A census (`_tail_rows`) sets `_tally` to a list before the walk starts.
-    Its kernels then count each leaf into that list, by 3 * tail +
-    extensible + symmetricisable, instead of yielding it.  Such a walk
-    keeps no frontier at its leaves, so it is not resumed after a trip.
+    A fold (`_tail_rows`, `optimize.maximal_symmetricisable`) sets `_fold`
+    to its kind and `_tally` to a list before the walk starts.  Its kernels
+    then classify each leaf into that list instead of yielding it (see
+    `_kernel_source`).  Such a walk keeps no frontier at its leaves, so it
+    is not resumed after a trip.
     """
 
     def __init__(
@@ -105,8 +103,7 @@ class BasisDFS:
         self.constrained = constrained
         self.min_height = min_height
         self.node_budget = node_budget
-        self.floor = 0
-        self.leaf_cov = self.leaf_mask = self._tally = None
+        self.leaf_cov = self.leaf_mask = self._fold = self._tally = None
         if state is None:
             state = {"prefix": [1], "cursors": [2], "visited": 1}
         prefix, cursor = self._restore(state)
@@ -210,7 +207,7 @@ class BasisDFS:
         Each kernel is built when the one before it has ended, so it starts
         from the `visited` that one left.
         """
-        p, total, tally = self.p, self.total, self._tally is not None
+        p, total, fold = self.p, self.total, self._fold
         depth = len(prefix)
         if depth == total:  # a restored leaf, or the only node of a one-level search
             self.leaf_cov, self.leaf_mask, _, _ = _frame(prefix, p)
@@ -220,9 +217,9 @@ class BasisDFS:
             yield (leaf,)
         cap = sys.maxsize if self.node_budget is None else self.node_budget  # no walk gets that far
         for root in range(depth, self.min_height - 1, -1):
-            walk = _kernel(p, total, self.constrained, root, tally)(
+            walk = _kernel(p, total, self.constrained, root, fold)(
                 self, self.visited, cap, cursor, *prefix[1:root], *_frame(prefix[:root], p))
-            if not tally:  # a tally kernel has run to its end by now, and yields no leaf
+            if fold is None:  # a fold's kernel has run to its end by now, and yields no leaf
                 yield walk
             if self._at:  # the budget stopped that kernel, and state() resumes it
                 return
@@ -234,7 +231,7 @@ _NESTING = 20
 _KERNELS: dict = {}
 
 
-def _kernel(p: int, total: int, constrained: int, root: int, tally: bool = False):
+def _kernel(p: int, total: int, constrained: int, root: int, fold: str | None = None):
     """The generated DFS below a node of `root` elements, compiled once per shape and process.
 
     It has one nested loop per level, and keeps the coverage, element
@@ -242,29 +239,31 @@ def _kernel(p: int, total: int, constrained: int, root: int, tally: bool = False
     (`v`, `m`, `l`, `f` and `c` with the level's index).  A shape with more
     levels than `_NESTING` walks its top levels here and hands each subtree
     below them to a kernel rooted deeper, through `yield from`, or through
-    a call in a tally kernel, which is a plain function.
+    a call in a fold's kernel, which is a plain function.
     """
-    key = (p, total, constrained, root, "tally") if tally else (p, total, constrained, root)
+    key = (p, total, constrained, root, fold) if fold else (p, total, constrained, root)
     if key not in _KERNELS:
         inner = root + _NESTING if total - root > _NESTING else None
-        namespace = {"inner": _kernel(p, total, constrained, inner, tally) if inner else None,
+        namespace = {"inner": _kernel(p, total, constrained, inner, fold) if inner else None,
                      "search": sys.modules[__name__]}
-        source = _kernel_source(p, total, constrained, root, inner, tally)
+        source = _kernel_source(p, total, constrained, root, inner, fold)
         exec(compile(source, f"<kernel {key}>", "exec"), namespace)
         _KERNELS[key] = namespace["walk"]
     return _KERNELS[key]
 
 
 def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int | None,
-                   tally: bool = False) -> str:
+                   fold: str | None = None) -> str:
     """Source of `walk(dfs, visited, cap, start, c1, ..., c<root - 1>, root's frame)`.
 
     The walk returns `visited`.  Leaves step by 1 on a free level and by p
     where one residue is left; otherwise they are picked like inner nodes.
-    The tally variant walks the plain p-bases and classifies each leaf in
-    place, as `classify_raw` does, into `dfs._tally`: the bound on b_0,
-    then the window test, then `symmetricisable_raw`, looked up through
-    this module when it is called.
+    A fold's kernel classifies each leaf in place, as `classify_raw` does:
+    the bound on b_0, then the window test, then `symmetricisable_raw`,
+    looked up through this module when it is called.  The "tally" fold
+    counts every plain p-basis into `dfs._tally`; the "maximal" fold keeps
+    there the symmetricisable leaves with the largest top, its floor, and
+    counts each run of leaves below the floor in one step.
     """
     leaf = total - 1  # the index of a leaf's last element
     step = 1 if constrained <= leaf else p if total == p - 1 else 0
@@ -275,8 +274,10 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
 
     lines = [f"def walk(dfs, visited, cap, c{root}, {upto(root - 1)}v{root - 1}, m{root - 1}, "
              f"l{root - 1}, {free}):"]
-    if inner is None:
-        lines.append("    tally = dfs._tally" if tally else "    floor = dfs.floor")
+    if inner is None and fold == "tally":
+        lines.append("    tally = dfs._tally")
+    elif inner is None and fold:  # each call starts from the best top found so far
+        lines += ["    best = dfs._tally", "    floor = best[0][-1] if best else 0"]
 
     def emit(depth, *texts):
         lines.extend("    " * depth + text for text in texts)
@@ -305,7 +306,7 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
             free = f"f{k}"
         trip(depth, k)
         if k + 1 == inner:
-            emit(depth, f"visited = {'' if tally else 'yield from '}inner(dfs, visited, cap, "
+            emit(depth, f"visited = {'' if fold else 'yield from '}inner(dfs, visited, cap, "
                         f"c{k} + 1, {upto(k)}v{k}, m{k}, l{k}, {free})")
         else:
             emit(depth, f"c{k + 1} = c{k} + 1")
@@ -317,33 +318,36 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
         if not step:
             jump(depth + 1, c)
         emit(depth + 1, f"if {c} > l{q}:", "    break")
-        if not tally:
+        if fold == "maximal":  # count the leaves below the floor at once
             emit(depth + 1, f"if {c} < floor:")
-            if step == 1:  # count the leaves below the floor at once
+            if step == 1:
                 emit(depth + 2, f"n = min(floor, l{q} + 1) - {c}", "visited += n", f"{c} += n")
-            elif step:
+            else:
                 emit(depth + 2, f"n = (min(floor, l{q} + 1) - {c} + {p - 1}) // {p}",
                      "visited += n", f"{c} += n * {p}")
-            else:
-                emit(depth + 2, "visited += 1", f"{c} += 1")
             trip(depth + 2, q)
             emit(depth + 2, "continue")
         emit(depth + 1, "visited += 1")
         trip(depth + 1, q)
-        if tally:  # e = extensible + symmetricisable, as in classify_raw
-            emit(depth + 1, "e = 0", f"if {c} <= {f'c{q}' if q else 1} + {p // 2}:",
-                 f"    s, w = m{q}, {p}", f"    while w < {c}:", "        s |= s << w",
-                 "        w <<= 1", f"    w = (1 << ({c} - 1) // {p} * {p} + 1) - 2",
-                 f"    if ((v{q} >> {c}) | s) & w == w:",
-                 f"        e = 1 + search.symmetricisable_raw((1, {upto(leaf)}), "
-                 f"m{q} | 1 << {c}, {p})",
-                 f"tally[3 * {c} + e] += 1", f"{c} += {p}")
-        else:
+        if fold is None:
             emit(depth + 1, "dfs.visited = visited",
                  f"dfs.leaf_cov = v{q} | (m{q} << {c}) | (1 << 2 * {c})",
                  f"dfs.leaf_mask = m{q} | (1 << {c})",
                  f"dfs._at = t = (1, {upto(leaf)})",
-                 "yield t", "floor = dfs.floor", f"{c} += {step or 1}")
+                 "yield t", f"{c} += {step or 1}")
+        else:  # the bound is b_0 <= e + p // 2 on a p-basis and b_0 <= e + p on a p+-basis
+            sym = f"search.symmetricisable_raw((1, {upto(leaf)}), m{q} | 1 << {c}, {p})"
+            test = [f"if {c} <= {f'c{q}' if q else 1} + {p // 2 if step == p else p}:",
+                    f"    s, w = m{q}, {p}", f"    while w < {c}:", "        s |= s << w",
+                    "        w <<= 1", f"    w = (1 << ({c} - 1) // {p} * {p} + 1) - 2",
+                    f"    if ((v{q} >> {c}) | s) & w == w:"]
+            if fold == "tally":  # e = extensible + symmetricisable, as in classify_raw
+                emit(depth + 1, "e = 0", *test, f"        e = 1 + {sym}",
+                     f"tally[3 * {c} + e] += 1", f"{c} += {p}")
+            else:  # a new best top drops the ties kept so far
+                emit(depth + 1, *test, f"        if {sym}:", f"            if {c} > floor:",
+                     f"                floor = {c}", "                best.clear()",
+                     f"            best.append((1, {upto(leaf)}))", f"{c} += {step}")
     for k in range(depth - 1, 0, -1):
         emit(k + 1, f"c{root + k - 1} += 1")
     emit(1, "dfs.visited = visited", "dfs._at = ()", "return visited")
@@ -502,11 +506,11 @@ def _tail_rows(dfs: BasisDFS, p: int) -> Counter:
     values, so no leaf's top is above that for k = total - 1, plus one.
     """
     k = dfs.total - 1
-    dfs._tally = tally = [0] * (3 * (k * (k + 3) // 2 + 2))
+    dfs._fold, dfs._tally = "tally", [0] * (3 * (k * (k + 3) // 2 + 2))
     for elems in dfs:  # only a frontier restored at a leaf yields one
         ext, sym = classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p)
-        tally[3 * elems[-1] + ext + sym] += 1
-    return Counter({key: n for key, n in enumerate(tally) if n})
+        dfs._tally[3 * elems[-1] + ext + sym] += 1
+    return Counter({key: n for key, n in enumerate(dfs._tally) if n})
 
 
 def _tail_counts(p: int, threads: int = 1, node_budget: int | None = None) -> Counter:
@@ -726,15 +730,13 @@ def run_enumeration(
         load_checkpoint(checkpoint_path, p, mode, classify_records) if resume
         else (None, dict.fromkeys(_COUNT_KEYS, 0))
     )
-    # built before the record file is opened, so a corrupt frontier, or one already over
-    # the budget, leaves it as it was
-    dfs = None if threads > 1 else BasisDFS(
-        p, total, constrained=p - 1, state=state, node_budget=node_budget
-    )
+    # built before the record file is opened, so a bad p, a corrupt frontier, or one already
+    # over the budget, leaves it as it was; a pooled run checks p here and walks the subtrees
+    dfs = BasisDFS(p, total, constrained=p - 1, state=state, node_budget=node_budget)
 
     def emit_records(sink):
         """Write the records, flushing only before each checkpoint and at the end."""
-        if dfs is None:
+        if threads > 1:
             for text, part in _pooled(_records_subtree, p, total, threads, mode, classify_records):
                 sink.write(text)
                 for key in _COUNT_KEYS:

@@ -302,6 +302,17 @@ def test_enumerate_resume_over_budget_changes_nothing(tmp_path, capsys):
     assert (out.read_bytes(), ckpt.read_bytes()) == (records, frontier)
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_enumerate_bad_p_leaves_the_record_file_as_it_was(tmp_path, capsys, threads):
+    # a pooled run must reject p before it opens, and so empties, the record file
+    out = tmp_path / "a.jsonl"
+    out.write_bytes(b"keep\n")
+    code, out_text, err = run_cli(capsys, "enumerate", "2", "--threads", threads, "--out", str(out))
+    assert (code, out_text) == (2, "")
+    assert err == "error: enumeration needs p >= 3, got 2\n"
+    assert out.read_bytes() == b"keep\n"
+
+
 def test_enumerate_checkpoint_needs_a_record_file(tmp_path, monkeypatch, capsys):
     # stdout cannot be cut back to a checkpoint's count, so a resume would
     # print again the records after it

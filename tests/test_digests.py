@@ -60,6 +60,20 @@ def test_table_stdout(table):
     assert sha(out) == TABLES[table]
 
 
+# taken before the maximal-tail search classified its leaves in the kernel
+EXTREMAL_P16 = {
+    4: "9daa92ad775eb1cab16a41d6b6323fecdcb668581a5637f9b64f6fe02fed5665",
+    7: "9a8ef856b85aab6611ea1f34ed3137cd687b81f75505dc6acff6c22e3b9f63e8",
+}
+
+
+@pytest.mark.parametrize("table", sorted(EXTREMAL_P16))
+def test_extremal_table_at_p16(table):
+    code, out = run("tables", str(table), "--p-max", "16")
+    assert code == 0
+    assert sha(out) == EXTREMAL_P16[table]
+
+
 def test_classification_at_two_threads():
     code, out = run("tables", "3", "--p-max", "12", "--threads", "2")
     assert code == 0

@@ -1,5 +1,6 @@
 import pytest
 
+from stampbase import search
 from stampbase.basis import Basis, PreconditionError, basis_range
 from stampbase.optimize import (
     MaximalBasisSet,
@@ -72,6 +73,30 @@ def test_floored_search_budget_is_exact(mode, total):
         with pytest.raises(BudgetExceededError) as err:
             maximal_symmetricisable(p, mode, node_budget=budget)
         assert (err.value.visited, err.value.budget) == (budget + 1, budget)
+
+
+@pytest.mark.parametrize("mode", ["plain", "plus"])
+@pytest.mark.parametrize("p", range(8, 13))
+def test_chained_maximal_fold_searches_like_one(monkeypatch, p, mode):
+    # past the nesting cap each inner kernel starts from the floor the walk has reached
+    def outcome(budget):
+        try:
+            return maximal_symmetricisable(p, mode, node_budget=budget)
+        except BudgetExceededError as err:
+            return ("trip", err.visited, str(err))
+
+    total = p - 1 if mode == "plain" else p
+    full = BasisDFS(p, total, constrained=p - 1)
+    for _ in full:
+        pass
+    n = full.visited
+    budgets = [None, n, n - 1, *range(1, n - 1, max(1, n // 25))]
+    single = [outcome(budget) for budget in budgets]
+    monkeypatch.setattr(search, "_KERNELS", {})
+    monkeypatch.setattr(search, "_NESTING", 3)
+    assert [outcome(budget) for budget in budgets] == single
+    assert search._KERNELS[p, total, p - 1, 1, "maximal"].__globals__["inner"] is (
+        search._KERNELS[p, total, p - 1, 4, "maximal"])
 
 
 def test_maximal_mode_guard():

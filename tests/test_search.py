@@ -88,19 +88,6 @@ def test_shallow_dfs_matches_recursive_walk(p, total):
     assert (list(dfs), dfs.visited) == search_tree(p, total, total)
 
 
-@pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
-def test_floor_withholds_leaves_but_counts_them(extra):
-    p = 11
-    total = p - 1 + extra
-    full = BasisDFS(p, total, constrained=p - 1)
-    leaves = list(full)
-    floor = sorted(e[-1] for e in leaves)[len(leaves) // 2]
-    dfs = BasisDFS(p, total, constrained=p - 1)
-    dfs.floor = floor
-    assert list(dfs) == [e for e in leaves if e[-1] >= floor]
-    assert dfs.visited == full.visited
-
-
 def test_min_height_must_lie_within_the_start_prefix():
     # a fresh walk starts at the prefix (1,), a restored one at its saved prefix
     state = {"p": 8, "prefix": [1, 2, 4], "cursors": [3, 5, 5]}
@@ -179,11 +166,11 @@ def test_a_shape_compiles_once(monkeypatch):
     assert len(set(compiled)) == len(compiled) == 4
 
 
-# sha256 of the yield walk's source, taken before the tally variant existed
+# sha256 of the yield walk's source, taken when the leaf floor left it
 KERNEL_SOURCES = {
-    (8, 7, 7, 1, None): "ecd9ada6b723fd49164b43340406f7b3a382ffc4526eca129a6dbefe5ae1bb29",
-    (9, 9, 8, 1, None): "64741723fded9f1a8adb93cb3f619eec2212bd9e2269d102bd8389ec08b05740",
-    (12, 11, 11, 4, None): "c6c48e0f9a25b5f28ed6d2517a463eebb5a64d4d22a5a0700467f4a4fcb90c7a",
+    (8, 7, 7, 1, None): "aa9bd6804c0310b4dcf0f4a47ca3ecafc039febca6b0e04fe64a0214c1f78372",
+    (9, 9, 8, 1, None): "07b9f009256d25e53a486b8d4a187312726305ebddbd92de7c89f7901ea25711",
+    (12, 11, 11, 4, None): "0951a34ebfb08ca29409ccc12006670b1f7c28dc83202762bb937846af85fb00",
     (23, 22, 22, 1, 21): "937cdc5ea3a183b8675e27e9a1950594a5260c0e93ff2b2e664ff5ab9f62df20",
 }
 
@@ -192,6 +179,21 @@ KERNEL_SOURCES = {
 def test_the_yield_walk_source_is_pinned(shape):
     source = search._kernel_source(*shape).encode()
     assert hashlib.sha256(source).hexdigest() == KERNEL_SOURCES[shape]
+
+
+# sha256 of the census tally's source, taken before the maximal fold existed
+TALLY_SOURCES = {
+    (8, 7, 7, 1, None): "b876619bf94a19ae2a1924591f4e5b90241d2a17b0789e692f30978bf469a37d",
+    (12, 11, 11, 4, None): "671b147855ecf6c4305a5879c6ebe4a720d8459b5881996b00c715a5312395e4",
+    (15, 14, 14, 1, None): "00d520265fed8197fc7b1a5549dd0a161b0a70240edf54d3f51e81cb1a914ec0",
+    (23, 22, 22, 1, 21): "faf28ace335c6ca62f3c4a189252cae219298d2d0cb3dbad263d275e68bab836",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TALLY_SOURCES))
+def test_the_tally_source_is_pinned(shape):
+    source = search._kernel_source(*shape, "tally").encode()
+    assert hashlib.sha256(source).hexdigest() == TALLY_SOURCES[shape]
 
 
 def yielded_rows(p):
