@@ -51,9 +51,7 @@ from .search import (
     RangeComparison,
     TailDistribution,
     classify,
-    classify_basis,
     enumerate_p_bases,
-    iter_p_bases,
     maxima_record,
     range_comparison_stats,
     run_enumeration,

@@ -55,13 +55,6 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
-def _threads_default() -> int:
-    try:
-        return _positive_int(os.environ.get("STAMPBASE_THREADS", "1"))
-    except argparse.ArgumentTypeError as err:
-        raise PreconditionError(f"STAMPBASE_THREADS: {err}") from None
-
-
 def _pct(x: float) -> str:
     return f"{x:.1f}"
 
@@ -227,6 +220,8 @@ _TABLES = {
     14: (3, partial(_tail_columns, ("tail", "pct_e"))),
     15: (3, partial(_tail_columns, ("tail", "pct_s"))),
 }
+# the range tables' first k, 2(p - 1) at p = 5, plus two mirrored elements in plus mode
+_FIRST_K = {5: 8, 6: 8, 8: 10, 9: 10}
 
 
 def cmd_tables(args) -> int:
@@ -235,10 +230,12 @@ def cmd_tables(args) -> int:
               file=sys.stderr)
         return 2
     first_p, builder = _TABLES[args.which]
-    if args.p_max < first_p:  # the table would be its header alone
-        print(f"error: table {args.which} starts at p = {first_p}; "
-              f"--p-max must be >= {first_p}, got {args.p_max}", file=sys.stderr)
-        return 2
+    for name, first, given in (("p", first_p, args.p_max),
+                               ("k", _FIRST_K.get(args.which, 0), args.k_max)):
+        if given < first:  # the table would be its header alone
+            print(f"error: table {args.which} starts at {name} = {first}; "
+                  f"--{name}-max must be >= {first}, got {given}", file=sys.stderr)
+            return 2
     header, rows = builder(range(first_p, args.p_max + 1), args)
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([header, *rows])
@@ -272,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="2-stamp additive bases: ranges, p-bases, extremal tables",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    threads = _threads_default()
 
     p_range = sub.add_parser("range", help="range and admissibility of a basis")
     p_range.add_argument("basis", help="comma-separated elements, e.g. 1,3,4,6,11")
@@ -299,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="continue from the checkpoint file")
     p_enum.add_argument("--checkpoint-every", type=_positive_int, default=5000,
                         dest="checkpoint_every", metavar="NODES")
-    p_enum.add_argument("--threads", type=_positive_int, default=threads)
+    p_enum.add_argument("--threads", type=_positive_int, default=1)
     p_enum.add_argument("--node-budget", type=_non_negative_int, default=None,
                         dest="node_budget")
     p_enum.set_defaults(func=cmd_enumerate)
@@ -313,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                           dest="k_max")
     p_tables.add_argument("--format", choices=("csv", "wide"), default="csv")
     p_tables.add_argument("--out")
-    p_tables.add_argument("--threads", type=_positive_int, default=threads)
+    p_tables.add_argument("--threads", type=_positive_int, default=1)
     p_tables.add_argument("--node-budget", type=_non_negative_int, default=None,
                           dest="node_budget")
     p_tables.set_defaults(func=cmd_tables)

@@ -51,12 +51,10 @@ def maximal_symmetricisable(
     below it are counted but neither built nor classified.
     """
     total, shift = _mode_levels(p, mode)
-    dfs = BasisDFS(p, total, constrained=p - 1, node_budget=node_budget)
-    dfs._fold, dfs._tally = "maximal", []
-    next(dfs, None)  # the fold runs the whole walk and yields nothing
-    if not dfs._tally:
+    best = BasisDFS(p, total, constrained=p - 1, node_budget=node_budget).fold("maximal")
+    if not best:
         raise PreconditionError(f"no symmetricisable basis exists for p = {p}")
-    bases = tuple(map(Basis, dfs._tally))
+    bases = tuple(map(Basis, best))
     return MaximalBasisSet(p=p, mode=mode, tail=bases[0].elements[-1] - shift, bases=bases)
 
 

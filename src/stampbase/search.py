@@ -36,8 +36,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .basis import Basis, PreconditionError, coverage, first_gap, range_from_coverage
-from .extension import is_extensible
-from .symmetric import closure_profile, symmetricisable_raw
+from .symmetric import symmetricisable_raw
 
 class BudgetExceededError(RuntimeError):
     """The search visited more nodes than the configured budget allows."""
@@ -72,11 +71,9 @@ class BasisDFS:
     (the element 1, with 2 as its next child), and a frontier that has
     already visited more nodes than `node_budget` is refused there.
 
-    A fold (`_tail_rows`, `optimize.maximal_symmetricisable`) sets `_fold`
-    to its kind and `_tally` to a list before the walk starts.  Its kernels
-    then classify each leaf into that list instead of yielding it (see
-    `_kernel_source`).  Such a walk keeps no frontier at its leaves, so it
-    is not resumed after a trip.
+    `fold` runs the walk instead in kernels that classify each leaf into
+    one list rather than yield it (see `_kernel_source`).  Such a walk
+    keeps no frontier at its leaves, so it is not resumed after a trip.
     """
 
     def __init__(
@@ -191,6 +188,27 @@ class BasisDFS:
     def __next__(self) -> tuple[int, ...]:
         return next(self._walker)
 
+    def fold(self, kind: str) -> list:
+        """Run the whole walk in the kernels of the fold `kind`, and return the list they fill.
+
+        The "tally" fold counts each leaf at index 3 * top + extensible +
+        symmetricisable; k elements generate at most k(k + 3)/2 values, so
+        no leaf's top is above that for k = total - 1, plus one.  The
+        "maximal" fold keeps the symmetricisable leaves with the largest
+        top, in walk order.  A frontier restored at a leaf yields that leaf
+        before any kernel runs, and `classify_raw` gathers it here.
+        """
+        k = self.total - 1
+        self._fold = kind
+        self._tally = [0] * (3 * (k * (k + 3) // 2 + 2)) if kind == "tally" else []
+        for elems in self:
+            ext, sym = classify_raw(elems, self.leaf_cov, self.leaf_mask, self.p)
+            if kind == "tally":
+                self._tally[3 * elems[-1] + ext + sym] += 1
+            elif sym:  # the walk's first leaf, so nothing is kept yet
+                self._tally.append(elems)
+        return self._tally
+
     def _trip(self, visited: int, prefix: tuple[int, ...]) -> BudgetExceededError:
         """The budget error at node `prefix` or one of its leaves.
 
@@ -239,11 +257,12 @@ def _kernel(p: int, total: int, constrained: int, root: int, fold: str | None = 
     (`v`, `m`, `l`, `f` and `c` with the level's index).  A shape with more
     levels than `_NESTING` walks its top levels here and hands each subtree
     below them to a kernel rooted deeper, through `yield from`, or through
-    a call in a fold's kernel, which is a plain function.
+    a call in a fold's kernel, which is a plain function.  A fold's leaf
+    test nests one loop more, so its kernel counts that loop as a level.
     """
-    key = (p, total, constrained, root, fold) if fold else (p, total, constrained, root)
+    key = (p, total, constrained, root, fold)
     if key not in _KERNELS:
-        inner = root + _NESTING if total - root > _NESTING else None
+        inner = min(root + _NESTING, total - 1) if total - root + bool(fold) > _NESTING else None
         namespace = {"inner": _kernel(p, total, constrained, inner, fold) if inner else None,
                      "search": sys.modules[__name__]}
         source = _kernel_source(p, total, constrained, root, inner, fold)
@@ -261,7 +280,7 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
     A fold's kernel classifies each leaf in place, as `classify_raw` does:
     the bound on b_0, then the window test, then `symmetricisable_raw`,
     looked up through this module when it is called.  The "tally" fold
-    counts every plain p-basis into `dfs._tally`; the "maximal" fold keeps
+    counts every leaf into `dfs._tally`; the "maximal" fold keeps
     there the symmetricisable leaves with the largest top, its floor, and
     counts each run of leaves below the floor in one step.
     """
@@ -334,7 +353,7 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
                  f"dfs.leaf_cov = v{q} | (m{q} << {c}) | (1 << 2 * {c})",
                  f"dfs.leaf_mask = m{q} | (1 << {c})",
                  f"dfs._at = t = (1, {upto(leaf)})",
-                 "yield t", f"{c} += {step or 1}")
+                 "yield t")
         else:  # the bound is b_0 <= e + p // 2 on a p-basis and b_0 <= e + p on a p+-basis
             sym = f"search.symmetricisable_raw((1, {upto(leaf)}), m{q} | 1 << {c}, {p})"
             test = [f"if {c} <= {f'c{q}' if q else 1} + {p // 2 if step == p else p}:",
@@ -342,12 +361,12 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
                     "        w <<= 1", f"    w = (1 << ({c} - 1) // {p} * {p} + 1) - 2",
                     f"    if ((v{q} >> {c}) | s) & w == w:"]
             if fold == "tally":  # e = extensible + symmetricisable, as in classify_raw
-                emit(depth + 1, "e = 0", *test, f"        e = 1 + {sym}",
-                     f"tally[3 * {c} + e] += 1", f"{c} += {p}")
+                emit(depth + 1, "e = 0", *test, f"        e = 1 + {sym}", f"tally[3 * {c} + e] += 1")
             else:  # a new best top drops the ties kept so far
                 emit(depth + 1, *test, f"        if {sym}:", f"            if {c} > floor:",
                      f"                floor = {c}", "                best.clear()",
-                     f"            best.append((1, {upto(leaf)}))", f"{c} += {step}")
+                     f"            best.append((1, {upto(leaf)}))")
+        emit(depth + 1, f"{c} += {step or 1}")
     for k in range(depth - 1, 0, -1):
         emit(k + 1, f"c{root + k - 1} += 1")
     emit(1, "dfs.visited = visited", "dfs._at = ()", "return visited")
@@ -455,30 +474,9 @@ class PlusBasisRecord:
     symmetricisable: bool
 
 
-def iter_p_bases(p: int, node_budget: int | None = None):
-    """All p-bases as Basis objects, lexicographically."""
-    for elems in BasisDFS(p, p - 1, node_budget=node_budget):
-        yield Basis(elems)
-
-
 def enumerate_p_bases(p: int, node_budget: int | None = None) -> int:
     """Number of p-bases, counted in one walk without building them."""
     return sum(1 for _ in BasisDFS(p, p - 1, node_budget=node_budget))
-
-
-def classify_basis(basis: Basis, p: int) -> PBasisRecord:
-    """Classification record for one p-basis via the full decision procedures."""
-    report = is_extensible(basis, p)
-    symmetricisable = (
-        report.extensible and closure_profile(basis, p).symmetricisable
-    )
-    return PBasisRecord(
-        basis=basis,
-        p=p,
-        tail=basis.tail,
-        extensible=report.extensible,
-        symmetricisable=symmetricisable,
-    )
 
 
 @dataclass(frozen=True)
@@ -501,16 +499,9 @@ def _tail_rows(dfs: BasisDFS, p: int) -> Counter:
     """Leaves of a walk of p-bases per key 3 * tail + extensible + symmetricisable.
 
     A symmetricisable basis is always extensible, so key % 3 is 0 for
-    neither, 1 for extensible only and 2 for both.  The walk's tally
-    kernels count the leaves; k elements generate at most k(k + 3)/2
-    values, so no leaf's top is above that for k = total - 1, plus one.
+    neither, 1 for extensible only and 2 for both.
     """
-    k = dfs.total - 1
-    dfs._fold, dfs._tally = "tally", [0] * (3 * (k * (k + 3) // 2 + 2))
-    for elems in dfs:  # only a frontier restored at a leaf yields one
-        ext, sym = classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p)
-        dfs._tally[3 * elems[-1] + ext + sym] += 1
-    return Counter({key: n for key, n in enumerate(dfs._tally) if n})
+    return Counter({key: n for key, n in enumerate(dfs.fold("tally")) if n})
 
 
 def _tail_counts(p: int, threads: int = 1, node_budget: int | None = None) -> Counter:

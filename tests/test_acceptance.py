@@ -28,9 +28,9 @@ from stampbase.extension import (
 )
 from stampbase.optimize import best_segments, maximal_symmetricisable, range_table
 from stampbase.search import (
+    BasisDFS,
     classify,
     enumerate_p_bases,
-    iter_p_bases,
     range_comparison_stats,
 )
 from stampbase.symmetric import (
@@ -184,7 +184,7 @@ def test_criterion_09_property_suites(classified):
 
     # pruned enumeration equals the generate-and-filter oracle
     for p in range(3, 9):
-        assert [b.elements for b in iter_p_bases(p)] == naive_p_bases(p)
+        assert list(BasisDFS(p, p - 1)) == naive_p_bases(p)
 
     # incremental reach updates agree with recomputation from scratch
     for _ in range(1000):

@@ -514,15 +514,26 @@ def test_every_table(capsys, which):
     assert rows == [[str(x) for x in row] for row in expected_rows]
 
 
-def test_threads_env_default(monkeypatch, capsys):
-    monkeypatch.setenv("STAMPBASE_THREADS", "4")
-    args = cli.build_parser().parse_args(["enumerate", "9"])
-    assert args.threads == 4
-    for bad in ("not-a-number", "0", "-3"):
-        monkeypatch.setenv("STAMPBASE_THREADS", bad)
-        code, out, err = run_cli(capsys, "tables", "1")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: STAMPBASE_THREADS")
+def test_the_environment_sets_no_thread_count(tmp_path, monkeypatch, capsys):
+    # --threads alone sizes the pool, so a run means the same in any environment
+    argv = ["tables", "3", "--p-max", "8", "--node-budget", "100000"]
+    alone = run_cli(capsys, *argv)
+    monkeypatch.setenv("STAMPBASE_THREADS", "2")
+    assert run_cli(capsys, *argv) == alone
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "enumerate", "9", "--checkpoint", "c.json", "--out", "o.jsonl")
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("which", ["1", "2", "4", "10", "11"])
+@pytest.mark.parametrize("budget", [[], ["--node-budget", "100"], ["--node-budget", "100000"]],
+                         ids=["no-budget", "tripped", "budget"])
+def test_serial_tables_ignore_threads(capsys, which, budget):
+    # only enumerate and tables 3 run a pool, so only they reject a budget with threads
+    argv = ["tables", which, "--p-max", "9", *budget]
+    alone = run_cli(capsys, *argv, "--threads", "1")
+    assert run_cli(capsys, *argv, "--threads", "2") == alone
+    assert alone[0] == (3 if budget == ["--node-budget", "100"] else 0)
 
 
 @pytest.mark.parametrize("argv", [
@@ -567,6 +578,27 @@ def test_tables_below_their_first_p(capsys, which, p_max):
         expected_header, expected_rows = _expected_table(which, p_max, cli.DEFAULT_K_MAX)
         assert rows and (header, rows) == (expected_header, [[str(x) for x in row]
                                                              for row in expected_rows])
+
+
+@pytest.mark.parametrize("which", range(1, 16))
+def test_range_tables_below_their_first_k(capsys, which):
+    # the range tables' rows start at p = 5, k = 2(p - 1) = 8, two more in plus mode; below
+    # that they would be a header alone, and the other tables take no k
+    first_k = {5: 8, 6: 8, 8: 10, 9: 10}.get(which)
+    argv = ["tables", str(which), "--p-max", "7"]
+    if first_k is None:
+        assert run_cli(capsys, *argv, "--k-max", "0") == run_cli(capsys, *argv)
+        return
+    for k_max in (0, 3, first_k - 1):
+        for extra in ([], ["--format", "wide"]) if which in (5, 8) else ([],):
+            code, out, err = run_cli(capsys, *argv, "--k-max", str(k_max), *extra)
+            assert (code, out) == (2, "")
+            assert err == (f"error: table {which} starts at k = {first_k}; "
+                           f"--k-max must be >= {first_k}, got {k_max}\n")
+    code, out, err = run_cli(capsys, *argv, "--k-max", str(first_k))
+    assert (code, err) == (0, "")
+    header, *rows = csv.reader(io.StringIO(out))
+    assert [row[0] for row in rows] == [str(first_k)]
 
 
 def test_zero_node_budget_is_a_budget(capsys):

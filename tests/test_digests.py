@@ -28,12 +28,6 @@ def run(*argv) -> tuple[int, bytes]:
     return code, out.getvalue().encode()
 
 
-@pytest.fixture(autouse=True)
-def one_thread_default(monkeypatch):
-    # the thread count defaults to STAMPBASE_THREADS, and checkpointing needs one thread
-    monkeypatch.delenv("STAMPBASE_THREADS", raising=False)
-
-
 TABLES = {
     1: "97960821401a69af0325df876c8dcc58dc9c8ae9ddbcac958d7f9e7ea50bf004",
     2: "96112a355b1da0182f8d2f3d3c95c654186000a4b7a2b04b2a7b7f70f08749c5",

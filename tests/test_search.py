@@ -21,9 +21,8 @@ from stampbase.search import (
     BudgetExceededError,
     MaximaRecord,
     classify,
-    classify_basis,
+    classify_raw,
     enumerate_p_bases,
-    iter_p_bases,
     load_checkpoint,
     maxima_record,
     range_comparison_stats,
@@ -48,8 +47,7 @@ def test_census_counts(p):
 
 @pytest.mark.parametrize("p", range(3, 7))
 def test_pruned_search_equals_naive(p):
-    pruned = [b.elements for b in iter_p_bases(p)]
-    assert pruned == naive_p_bases(p)
+    assert list(BasisDFS(p, p - 1)) == naive_p_bases(p)
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
@@ -134,8 +132,8 @@ def test_chained_kernels_walk_like_one(monkeypatch, p, extra):
     monkeypatch.setattr(search, "_KERNELS", {})
     monkeypatch.setattr(search, "_NESTING", 3)
     assert walk_digest(p, total, budgets) == single
-    outer = search._KERNELS[p, total, p - 1, 1]
-    assert outer.__globals__["inner"] is search._KERNELS[p, total, p - 1, 4]
+    outer = search._KERNELS[p, total, p - 1, 1, None]
+    assert outer.__globals__["inner"] is search._KERNELS[p, total, p - 1, 4, None]
 
 
 @pytest.mark.parametrize("p", range(3, 31))
@@ -145,6 +143,8 @@ def test_every_shape_compiles(p):
         for depth in range(1, 5):
             split = max(1, min(depth, total - 1))
             assert inspect.isgeneratorfunction(search._kernel(p, total, p - 1, split))
+            for fold in ("tally", "maximal"):  # plain functions, one loop deeper at the leaves
+                assert inspect.isfunction(search._kernel(p, total, p - 1, split, fold))
             if split > 1:
                 assert inspect.isgeneratorfunction(search._kernel(p, split, split, 1))
 
@@ -196,6 +196,22 @@ def test_the_tally_source_is_pinned(shape):
     assert hashlib.sha256(source).hexdigest() == TALLY_SOURCES[shape]
 
 
+# sha256 of the maximal fold's source, taken before `BasisDFS.fold` existed
+MAXIMAL_SOURCES = {
+    (14, 13, 13, 1, None): "7e9623217be19c067fca0bd7ed19fe0ca987c674503b3669166e2b705f8d2016",
+    (14, 14, 13, 1, None): "46ac7474ae35e5dac26d88d2c328660255d6c3286ab82cc7b148fb2c2bd704e4",
+    (12, 12, 11, 4, None): "9afa7fab7e083b00f80f48c6d9a97a02980b9038849d19992cac16bb72b53dcd",
+    (22, 22, 21, 1, 21): "b7ae5e6bdd4aec857a67fb9a21c3cacfc01019e9e2f9a4fec42c860b71000b98",
+    (22, 22, 21, 21, None): "56b3ad3fea43d8fe6ca14f042b4a0166109a47d5885d5a99a33bf669721fd593",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MAXIMAL_SOURCES))
+def test_the_maximal_source_is_pinned(shape):
+    source = search._kernel_source(*shape, "maximal").encode()
+    assert hashlib.sha256(source).hexdigest() == MAXIMAL_SOURCES[shape]
+
+
 def yielded_rows(p):
     """`_tail_rows`'s tally, built from the yield walk and `classify_raw`."""
     rows = Counter()
@@ -224,6 +240,59 @@ def test_chained_tally_kernels_count_like_one(monkeypatch, p):
 def test_a_tally_walk_restored_at_a_leaf_counts_that_leaf():
     for elems, ext, sym in classified_leaves(8):
         assert _tail_rows(_subtree_dfs(8, 7, 7, elems), 8) == {3 * elems[-1] + ext + sym: 1}
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
+@pytest.mark.parametrize("p", range(5, 11))
+def test_a_fold_of_as_many_levels_as_the_nesting_cap_is_chained(monkeypatch, p, extra):
+    # its leaf test is one loop more, so the leaf level goes to an inner kernel; at the
+    # real cap of 20 that is a plain p = 22 or a plus p = 21
+    total = p - 1 + extra
+
+    def outcomes():
+        runs = []
+        for kind in ("tally", "maximal"):
+            for budget in (None, 1, 10, 50, 100, 500):
+                dfs = BasisDFS(p, total, constrained=p - 1, node_budget=budget)
+                try:
+                    runs.append((dfs.fold(kind), dfs.visited))
+                except BudgetExceededError as err:
+                    runs.append(("trip", str(err)))
+        return runs
+
+    single = outcomes()
+    monkeypatch.setattr(search, "_KERNELS", {})
+    monkeypatch.setattr(search, "_NESTING", total - 1)
+    assert outcomes() == single
+    for kind in ("tally", "maximal"):
+        assert search._KERNELS[p, total, p - 1, 1, kind].__globals__["inner"] is (
+            search._KERNELS[p, total, p - 1, total - 1, kind])
+    assert search._kernel(p, total, p - 1, 1).__globals__["inner"] is None
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
+@pytest.mark.parametrize("p", range(8, 11))
+def test_a_fold_restored_at_a_leaf_gathers_like_the_yield_walk(p, extra):
+    # the restored leaf comes before any kernel runs, and the fold walks on past it
+    total = p - 1 + extra
+    leaves = list(BasisDFS(p, total, constrained=p - 1))
+    for leaf in leaves[::max(1, len(leaves) // 9)] + leaves[-1:]:
+        state = {"p": p, "prefix": list(leaf), "cursors": [c + 1 for c in leaf[1:]] + [leaf[-1] + 1]}
+        for height in (1, total // 2, total):
+            def walk():
+                return BasisDFS(p, total, constrained=p - 1, state=state, min_height=height)
+            dfs, rows = walk(), []
+            for elems in dfs:
+                rows.append((elems, *classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p)))
+            tops = [elems[-1] for elems, _, sym in rows if sym]
+            best = [elems for elems, _, sym in rows if sym and elems[-1] == max(tops, default=0)]
+            tally = Counter(3 * elems[-1] + ext + sym for elems, ext, sym in rows)
+            for kind, expected in (("maximal", best), ("tally", tally)):
+                folded = walk()
+                got = folded.fold(kind)
+                if kind == "tally":
+                    got = Counter({key: n for key, n in enumerate(got) if n})
+                assert (got, folded.visited) == (expected, dfs.visited), (leaf, height, kind)
 
 
 @pytest.mark.parametrize("p", range(7, 10))
@@ -273,7 +342,7 @@ def test_constrained_levels_need_free_residues():
 
 
 def test_iteration_is_lexicographic():
-    seen = [b.elements for b in iter_p_bases(8)]
+    seen = list(BasisDFS(8, 7))
     assert seen == sorted(seen)
     assert len(set(seen)) == len(seen)
 
@@ -302,7 +371,7 @@ def test_range_comparison(p):
 
 def test_subtree_prefixes_partition_the_search():
     p, total = 8, 7
-    whole = [b.elements for b in iter_p_bases(p)]
+    whole = list(BasisDFS(p, total))
     for depth in (1, 2, 3):
         merged = []
         for prefix in subtree_prefixes(p, total, p - 1, depth):
@@ -442,11 +511,11 @@ def test_budget_error_pickles(visited, budget):
     assert str(back) == str(err) == f"node budget exceeded: visited {visited} > {budget}"
 
 
-def test_classify_basis_agrees_with_fast_path(classified):
+def test_reference_procedures_agree_with_fast_path(classified):
     for rec in classified[7]:
-        slow = classify_basis(rec.basis, 7)
-        assert slow.extensible == rec.extensible
-        assert slow.symmetricisable == rec.symmetricisable
+        extensible = is_extensible(rec.basis, 7).extensible
+        assert extensible == rec.extensible
+        assert (extensible and closure_profile(rec.basis, 7).symmetricisable) == rec.symmetricisable
 
 
 def test_plus_records(tmp_path):
@@ -486,11 +555,11 @@ def test_public_api():
         "RangeResult", "RangeTable", "ReachSet", "ResidueProfile", "StohrSequence",
         "SymmetricClosure", "SymmetricisabilityReport", "TailDistribution",
         "basis_range", "best_segments", "build_symmetric_closure",
-        "classify", "classify_basis", "closure_profile", "closure_range",
+        "classify", "closure_profile", "closure_range",
         "enumerate_p_bases", "extend_arithmetic", "extend_reach",
         "extensible_completion", "extension_range_identity",
         "extension_threshold", "is_extensible", "is_p_basis", "is_symmetric",
-        "is_symmetricisable", "is_symmetricisable_plus", "iter_p_bases", "m_zero",
+        "is_symmetricisable", "is_symmetricisable_plus", "m_zero",
         "maxima_record", "maximal_symmetricisable", "period_bound",
         "periodic_scan", "range_comparison_stats", "range_table", "residue_profile",
         "run_enumeration", "stohr_sequence", "symmetrize",
@@ -502,7 +571,7 @@ def test_public_api():
     assert namespace["search"] == 42
     assert not [name for name, value in namespace.items() if isinstance(value, ModuleType)]
     for name in ("iter_classified", "iter_p_plus", "plus_depth_search",
-                 "DepthSearchResult", "DEFAULT_NODE_BUDGET"):
+                 "DepthSearchResult", "DEFAULT_NODE_BUDGET", "classify_basis", "iter_p_bases"):
         assert not hasattr(stampbase, name) and not hasattr(search, name), name
 
 
