@@ -28,7 +28,6 @@ p-basis, compared against others by the tail a_p - p.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 from collections import Counter
@@ -72,8 +71,10 @@ class BasisDFS:
     already visited more nodes than `node_budget` is refused there.
 
     `fold` runs the walk instead in kernels that classify each leaf into
-    one list rather than yield it (see `_kernel_source`).  Such a walk
-    keeps no frontier at its leaves, so it is not resumed after a trip.
+    one list rather than yield it (see `_kernel_source`).  Only the
+    "records" fold keeps its frontier, at each of its pauses; after a
+    trip no fold resumes from `state()`, but a records run resumes from
+    its last pause.
     """
 
     def __init__(
@@ -100,7 +101,9 @@ class BasisDFS:
         self.constrained = constrained
         self.min_height = min_height
         self.node_budget = node_budget
-        self.leaf_cov = self.leaf_mask = self._fold = self._tally = None
+        self.leaf_cov = self.leaf_mask = self._fold = self._tally = self._pause = None
+        # the records fold's line endings, and the node count of its next pause
+        self._ends, self._due = _ENDS[True], sys.maxsize
         if state is None:
             state = {"prefix": [1], "cursors": [2], "visited": 1}
         prefix, cursor = self._restore(state)
@@ -195,16 +198,30 @@ class BasisDFS:
         symmetricisable; k elements generate at most k(k + 3)/2 values, so
         no leaf's top is above that for k = total - 1, plus one.  The
         "maximal" fold keeps the symmetricisable leaves with the largest
-        top, in walk order.  A frontier restored at a leaf yields that leaf
-        before any kernel runs, and `classify_raw` gathers it here.
+        top, in walk order.  The "records" fold returns its JSONL lines, each
+        ending in `_ends[extensible + symmetricisable]`, and their count by
+        that sum; at the first leaf where `visited` reaches `_due` it sets
+        the frontier there and calls `_pause()`, which returns the next due.
+        A frontier restored at a leaf yields that leaf before any kernel
+        runs, and `classify_raw` gathers it here.
         """
-        k = self.total - 1
+        k, p = self.total - 1, self.p
         self._fold = kind
-        self._tally = [0] * (3 * (k * (k + 3) // 2 + 2)) if kind == "tally" else []
+        if kind == "tally":
+            self._tally = [0] * (3 * (k * (k + 3) // 2 + 2))
+        elif kind == "records":
+            self._tally = [[], [0, 0, 0]]
+        else:
+            self._tally = []
         for elems in self:
-            ext, sym = classify_raw(elems, self.leaf_cov, self.leaf_mask, self.p)
+            ext, sym = classify_raw(elems, self.leaf_cov, self.leaf_mask, p)
             if kind == "tally":
                 self._tally[3 * elems[-1] + ext + sym] += 1
+            elif kind == "records":
+                tail = elems[-1] - (p if self.constrained < self.total else 0)
+                self._tally[0].append(f'{{"p":{p},"basis":[{",".join(map(str, elems))}],'
+                                      f'"tail":{tail}{self._ends[ext + sym]}')
+                self._tally[1][ext + sym] += 1
             elif sym:  # the walk's first leaf, so nothing is kept yet
                 self._tally.append(elems)
         return self._tally
@@ -265,6 +282,11 @@ def _kernel(p: int, total: int, constrained: int, root: int, fold: str | None = 
         inner = min(root + _NESTING, total - 1) if total - root + bool(fold) > _NESTING else None
         namespace = {"inner": _kernel(p, total, constrained, inner, fold) if inner else None,
                      "search": sys.modules[__name__]}
+        if fold == "records":  # the text of every element up to the largest, as in `fold`
+            k, shift = total - 1, p if constrained < total else 0
+            elements = range(k * (k + 3) // 2 + 2)
+            namespace["digits"] = tuple(f"{a}," for a in elements)
+            namespace["tails"] = tuple(f'{a}],"tail":{a - shift}' for a in elements)
         source = _kernel_source(p, total, constrained, root, inner, fold)
         exec(compile(source, f"<kernel {key}>", "exec"), namespace)
         _KERNELS[key] = namespace["walk"]
@@ -282,7 +304,11 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
     looked up through this module when it is called.  The "tally" fold
     counts every leaf into `dfs._tally`; the "maximal" fold keeps
     there the symmetricisable leaves with the largest top, its floor, and
-    counts each run of leaves below the floor in one step.
+    counts each run of leaves below the floor in one step.  The "records"
+    fold formats each leaf's JSONL line with one f-string over the level
+    locals, which looks up the text of each element in `digits` (comma
+    included) and of the leaf with the tail in `tails`; it counts the line
+    and pauses as `BasisDFS.fold` describes.
     """
     leaf = total - 1  # the index of a leaf's last element
     step = 1 if constrained <= leaf else p if total == p - 1 else 0
@@ -295,6 +321,8 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
              f"l{root - 1}, {free}):"]
     if inner is None and fold == "tally":
         lines.append("    tally = dfs._tally")
+    elif inner is None and fold == "records":
+        lines += ["    out, tally = dfs._tally", "    ends, due = dfs._ends, dfs._due"]
     elif inner is None and fold:  # each call starts from the best top found so far
         lines += ["    best = dfs._tally", "    floor = best[0][-1] if best else 0"]
 
@@ -362,6 +390,12 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
                     f"    if ((v{q} >> {c}) | s) & w == w:"]
             if fold == "tally":  # e = extensible + symmetricisable, as in classify_raw
                 emit(depth + 1, "e = 0", *test, f"        e = 1 + {sym}", f"tally[3 * {c} + e] += 1")
+            elif fold == "records":  # the line json.dumps gives, then a pause when one is due
+                basis = "".join(f"{{digits[c{i}]}}" for i in range(1, leaf))
+                line = f'{{{{"p":{p},"basis":[1,{basis}{{tails[{c}]}}{{ends[e]}}'
+                emit(depth + 1, "e = 0", *test, f"        e = 1 + {sym}", f"out.append(f'{line}')",
+                     "tally[e] += 1", "if visited >= due:", "    dfs.visited = visited",
+                     f"    dfs._at = (1, {upto(leaf)})", "    due = dfs._due = dfs._pause()")
             else:  # a new best top drops the ties kept so far
                 emit(depth + 1, *test, f"        if {sym}:", f"            if {c} > floor:",
                      f"                floor = {c}", "                best.clear()",
@@ -653,38 +687,41 @@ def load_checkpoint(path: str, p: int, mode: str, classify_records: bool) -> tup
     return {k: state[k] for k in ("p", "prefix", "cursors", "visited")}, counts
 
 
-# the end of a classified record, by extensible + symmetricisable (0, 1 or 2)
-_FLAGS = (
-    ',"extensible":false,"symmetricisable":false}',
-    ',"extensible":true,"symmetricisable":false}',
-    ',"extensible":true,"symmetricisable":true}',
-)
+# the end of a record line by extensible + symmetricisable (0, 1 or 2), with and without
+# the classification
+_ENDS = {
+    True: (
+        ',"extensible":false,"symmetricisable":false}\n',
+        ',"extensible":true,"symmetricisable":false}\n',
+        ',"extensible":true,"symmetricisable":true}\n',
+    ),
+    False: ("}\n",) * 3,
+}
 
 
-def _record_lines(dfs: BasisDFS, p: int, mode: str, classify_records: bool, counts: dict):
-    """One JSONL line per leaf, newline included; `counts` already includes it when yielded.
+def _take_records(records: list, counts: dict, classify_records: bool) -> str:
+    """The pending lines of a records fold as one string; their counts move into `counts`.
 
     A line holds the bytes of `json.dumps(record, separators=(",", ":"))`
     for the keys p, basis, tail and, when classifying, extensible and
-    symmetricisable, but is formatted directly.
+    symmetricisable, newline included.
     """
-    shift = _mode_levels(p, mode)[1]
-    head = f'{{"p":{p},"basis":['
-    end = "}"
-    for elems in dfs:
-        if classify_records:
-            ext, sym = classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p)
-            counts["n_e"] += ext
-            counts["n_s"] += sym
-            end = _FLAGS[ext + sym]  # a symmetricisable basis is extensible
-        counts["count"] += 1
-        yield f'{head}{",".join(map(str, elems))}],"tail":{elems[-1] - shift}{end}\n'
+    lines, tally = records
+    text = "".join(lines)
+    lines.clear()
+    counts["count"] += sum(tally)
+    if classify_records:  # a symmetricisable basis is extensible
+        counts["n_e"] += tally[1] + tally[2]
+        counts["n_s"] += tally[2]
+    tally[:] = (0, 0, 0)
+    return text
 
 
-def _records_subtree(dfs: BasisDFS, p: int, mode: str, classify_records: bool):
+def _records_subtree(dfs: BasisDFS, p: int, classify_records: bool):
     """(records as one string, counts) of one subtree, for the parallel emitter."""
     counts = dict.fromkeys(_COUNT_KEYS, 0)
-    return "".join(_record_lines(dfs, p, mode, classify_records, counts)), counts
+    dfs._ends = _ENDS[classify_records]
+    return _take_records(dfs.fold("records"), counts, classify_records), counts
 
 
 def run_enumeration(
@@ -704,6 +741,8 @@ def run_enumeration(
     Output is byte-identical regardless of thread count or checkpoint
     cadence: parallel subtrees merge in lexicographic order, and a resumed
     run first truncates the record file back to the checkpointed count.
+    A serial run writes its records every `checkpoint_every` nodes, at the
+    leaf where it checkpoints, and at the end.
     """
     total, _ = _mode_levels(p, mode)
     if mode == "plus":
@@ -713,6 +752,11 @@ def run_enumeration(
     if checkpoint_path and out_path is None:
         # stdout cannot be cut back to a checkpoint's count, so a resume would repeat records
         raise PreconditionError("checkpointing needs a record file (--out)")
+    if checkpoint_path and os.path.realpath(out_path) in {
+            os.path.realpath(checkpoint_path + end) for end in ("", ".tmp")}:
+        # each would overwrite the other, and a finished run removes the checkpoint
+        raise PreconditionError(
+            f"record file {out_path!r} is the checkpoint {checkpoint_path!r} or its temporary")
     _reject_budget_with_threads(threads, node_budget)
 
     if resume and not checkpoint_path:
@@ -728,22 +772,30 @@ def run_enumeration(
     def emit_records(sink):
         """Write the records, flushing only before each checkpoint and at the end."""
         if threads > 1:
-            for text, part in _pooled(_records_subtree, p, total, threads, mode, classify_records):
+            for text, part in _pooled(_records_subtree, p, total, threads, classify_records):
                 sink.write(text)
                 for key in _COUNT_KEYS:
                     counts[key] += part[key]
             return
 
-        due = dfs.visited + checkpoint_every if checkpoint_path else math.inf
-        write = sink.write
-        for line in _record_lines(dfs, p, mode, classify_records, counts):
-            write(line)
-            if dfs.visited >= due:
+        def drain():
+            sink.write(_take_records(dfs._tally, counts, classify_records))
+
+        def pause():  # at the leaf where dfs.state() now stands
+            drain()
+            if checkpoint_path:
                 sink.flush()  # a checkpoint never counts a line that is not in the file
                 frontier = dfs.state()
                 frontier["partial_stats"] = {"mode": mode, "classify": bool(classify_records), **counts}
                 save_checkpoint(checkpoint_path, frontier)
-                due = dfs.visited + checkpoint_every
+            return dfs.visited + checkpoint_every
+
+        dfs._ends, dfs._pause = _ENDS[classify_records], pause
+        dfs._due = dfs.visited + checkpoint_every
+        try:
+            dfs.fold("records")
+        finally:
+            drain()  # after a budget trip too, so the file holds every leaf before it
         # a finished run needs no recovery point, and a stale one would
         # restore as a fresh traversal and duplicate every record; the file
         # gets every record before the recovery point goes

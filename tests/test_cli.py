@@ -327,6 +327,30 @@ def test_enumerate_checkpoint_needs_a_record_file(tmp_path, monkeypatch, capsys)
         assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("out, ckpt, extra", [
+    pytest.param("same.jsonl", "same.jsonl", [], id="same"),
+    pytest.param("same.jsonl", "same.jsonl", ["--node-budget", "200"], id="same-budget"),
+    pytest.param("same.jsonl", "same.jsonl", ["--resume"], id="same-resume"),
+    pytest.param("./same.jsonl", "same.jsonl", [], id="dot-slash"),
+    pytest.param("c.json.tmp", "c.json", [], id="checkpoint-temporary"),
+])
+def test_enumerate_record_file_colliding_with_the_checkpoint_exits_2(
+        tmp_path, monkeypatch, capsys, out, ckpt, extra):
+    # the run would overwrite one file with the other, and a finished run removes the
+    # checkpoint, so nothing is opened or read
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / out).write_bytes(b"keep\n")
+    code, out_text, err = run_cli(
+        capsys, "enumerate", "10", "--classify", "--out", out, "--checkpoint", ckpt,
+        "--checkpoint-every", "50", *extra,
+    )
+    assert (code, out_text) == (2, "")
+    assert err == (f"error: record file {out!r} is the checkpoint {ckpt!r} "
+                   "or its temporary\n")
+    assert sorted(os.listdir(tmp_path)) == [os.path.basename(out)]
+    assert (tmp_path / out).read_bytes() == b"keep\n"
+
+
 def test_enumerate_resume_without_checkpoint(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "enumerate", "8",

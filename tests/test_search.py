@@ -143,7 +143,7 @@ def test_every_shape_compiles(p):
         for depth in range(1, 5):
             split = max(1, min(depth, total - 1))
             assert inspect.isgeneratorfunction(search._kernel(p, total, p - 1, split))
-            for fold in ("tally", "maximal"):  # plain functions, one loop deeper at the leaves
+            for fold in ("tally", "maximal", "records"):  # functions, one loop deeper at leaves
                 assert inspect.isfunction(search._kernel(p, total, p - 1, split, fold))
             if split > 1:
                 assert inspect.isgeneratorfunction(search._kernel(p, split, split, 1))
@@ -212,6 +212,23 @@ def test_the_maximal_source_is_pinned(shape):
     assert hashlib.sha256(source).hexdigest() == MAXIMAL_SOURCES[shape]
 
 
+# sha256 of the records fold's source; a chained shape's outer kernel only calls the
+# inner one, so it is the census tally's
+RECORDS_SOURCES = {
+    (8, 7, 7, 1, None): "b6c3f81842e41bdbb8361b5952064e7a7de9262979923d8daddf1649ac041a3c",
+    (9, 9, 8, 1, None): "c9f1853d166aeb1ca33e2e8c319571b33b48e46c704d34a1c96f2e56fab3e4ea",
+    (12, 11, 11, 4, None): "de2445a62f561dbabcef5f10a11dfe751d6daac62de7fa1732e6e3fd9a004784",
+    (23, 22, 22, 1, 21): "faf28ace335c6ca62f3c4a189252cae219298d2d0cb3dbad263d275e68bab836",
+    (23, 22, 22, 21, None): "d30a1e596bda5ed38dd23a289c06d1c498e504a3e535743615898ddb87f17cd6",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(RECORDS_SOURCES))
+def test_the_records_source_is_pinned(shape):
+    source = search._kernel_source(*shape, "records").encode()
+    assert hashlib.sha256(source).hexdigest() == RECORDS_SOURCES[shape]
+
+
 def yielded_rows(p):
     """`_tail_rows`'s tally, built from the yield walk and `classify_raw`."""
     rows = Counter()
@@ -251,7 +268,7 @@ def test_a_fold_of_as_many_levels_as_the_nesting_cap_is_chained(monkeypatch, p, 
 
     def outcomes():
         runs = []
-        for kind in ("tally", "maximal"):
+        for kind in ("tally", "maximal", "records"):
             for budget in (None, 1, 10, 50, 100, 500):
                 dfs = BasisDFS(p, total, constrained=p - 1, node_budget=budget)
                 try:
@@ -264,10 +281,31 @@ def test_a_fold_of_as_many_levels_as_the_nesting_cap_is_chained(monkeypatch, p, 
     monkeypatch.setattr(search, "_KERNELS", {})
     monkeypatch.setattr(search, "_NESTING", total - 1)
     assert outcomes() == single
-    for kind in ("tally", "maximal"):
+    for kind in ("tally", "maximal", "records"):
         assert search._KERNELS[p, total, p - 1, 1, kind].__globals__["inner"] is (
             search._KERNELS[p, total, p - 1, total - 1, kind])
     assert search._kernel(p, total, p - 1, 1).__globals__["inner"] is None
+
+
+@pytest.mark.parametrize("mode", ["plain", "plus"])
+def test_chained_records_kernels_pause_like_one(tmp_path, monkeypatch, mode):
+    # each inner kernel starts from the node count of the next pause that the last one set
+    out = tmp_path / "o.jsonl"
+
+    def run():
+        saved = []
+        monkeypatch.setattr(search, "save_checkpoint", lambda path, state: saved.append(state))
+        summary = run_enumeration(10, mode=mode, classify_records=True, out_path=str(out),
+                                  checkpoint_path=str(tmp_path / "c.json"), checkpoint_every=7)
+        return summary, out.read_bytes(), saved
+
+    single = run()
+    monkeypatch.setattr(search, "_KERNELS", {})
+    monkeypatch.setattr(search, "_NESTING", 3)
+    assert run() == single
+    total = 9 if mode == "plain" else 10
+    assert search._KERNELS[10, total, 9, 1, "records"].__globals__["inner"] is (
+        search._KERNELS[10, total, 9, 4, "records"])
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
@@ -287,7 +325,11 @@ def test_a_fold_restored_at_a_leaf_gathers_like_the_yield_walk(p, extra):
             tops = [elems[-1] for elems, _, sym in rows if sym]
             best = [elems for elems, _, sym in rows if sym and elems[-1] == max(tops, default=0)]
             tally = Counter(3 * elems[-1] + ext + sym for elems, ext, sym in rows)
-            for kind, expected in (("maximal", best), ("tally", tally)):
+            records = [[json.dumps({"p": p, "basis": list(elems), "tail": elems[-1] - p * extra,
+                                    "extensible": ext, "symmetricisable": sym},
+                                   separators=(",", ":")) + "\n" for elems, ext, sym in rows],
+                       [sum(ext + sym == e for _, ext, sym in rows) for e in range(3)]]
+            for kind, expected in (("maximal", best), ("tally", tally), ("records", records)):
                 folded = walk()
                 got = folded.fold(kind)
                 if kind == "tally":
@@ -655,13 +697,52 @@ def test_record_lines_are_compact_json(tmp_path, monkeypatch, p, mode, classify_
 
 def test_run_enumeration_threads_byte_identical(tmp_path):
     # the pooled counts come from the workers, not from the lines written
-    for mode in ("plain", "plus"):
-        solo = tmp_path / f"solo-{mode}.jsonl"
-        pooled = tmp_path / f"pooled-{mode}.jsonl"
-        args = dict(mode=mode, classify_records=True)
-        summary = run_enumeration(8, out_path=str(solo), **args)
-        assert run_enumeration(8, out_path=str(pooled), threads=2, **args) == summary
-        assert solo.read_bytes() == pooled.read_bytes()
+    solo, pooled = tmp_path / "solo.jsonl", tmp_path / "pooled.jsonl"
+    for p in range(5, 12):
+        for mode in ("plain", "plus"):
+            for classify_records in (False, True):
+                args = dict(mode=mode, classify_records=classify_records)
+                summary = run_enumeration(p, out_path=str(solo), **args)
+                assert run_enumeration(p, out_path=str(pooled), threads=2, **args) == summary
+                assert solo.read_bytes() == pooled.read_bytes(), (p, mode, classify_records)
+
+
+class SpySink:
+    """A record sink with `write` alone, as the benchmark's discarding sink has."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+@pytest.mark.parametrize("every", [1, 7, 50])
+@pytest.mark.parametrize("mode", ["plain", "plus"])
+def test_a_serial_run_holds_at_most_one_interval_of_lines(tmp_path, monkeypatch, mode, every):
+    # a pause comes at the first leaf `every` nodes after the last, and each node is one
+    # leaf at most, so no write carries more lines than that, with or without a checkpoint
+    p = 9  # 180 nodes in plain mode, 341 in plus mode
+    reference = run_enumeration(p, mode=mode, classify_records=True, out_stream=SpySink())
+    sink = SpySink()
+    assert run_enumeration(p, mode=mode, classify_records=True, out_stream=sink,
+                           checkpoint_every=every) == reference
+    assert max(text.count("\n") for text in sink.writes) <= every
+    out, ckpt = tmp_path / "o.jsonl", tmp_path / "c.json"
+    writes = []
+
+    def spy_open(path, *args, **kwargs):  # the checkpoint is opened here too
+        fh = open(path, *args, **kwargs)
+        if path == str(out):
+            write = fh.write
+            fh.write = lambda text: writes.append(text) or write(text)
+        return fh
+
+    monkeypatch.setattr(search, "open", spy_open, raising=False)
+    assert run_enumeration(p, mode=mode, classify_records=True, out_path=str(out),
+                           checkpoint_path=str(ckpt), checkpoint_every=every) == reference
+    assert max(text.count("\n") for text in writes) <= every
+    assert "".join(writes) == "".join(sink.writes) == out.read_text(encoding="utf-8")
 
 
 def test_run_enumeration_plus_mode(tmp_path):
