@@ -94,14 +94,14 @@ def range_table(
         mset = (maxima or {}).get(p)
         if mset is None:
             mset = maximal_symmetricisable(p, mode, node_budget=node_budget)
-        elif mset.mode != mode:
+        elif (mset.p, mset.mode) != (p, mode) or not mset.bases:
             raise PreconditionError(
-                f"maximal set for p={p} is {mset.mode!r}, table wants {mode!r}"
+                f"maximal set for p={p} is {mset.mode!r} at p={mset.p} (bases: {len(mset.bases)}), "
+                f"table wants {mode!r} at p={p} and at least one basis"
             )
         tails[p] = mset.tail
         offset = 0 if mode == "plain" else 2  # m = j - offset
         admissible_j = set()
-        m0 = None
         for basis in mset.bases:
             profile = closure_profile(basis, p)
             m0 = profile.m0

@@ -252,8 +252,10 @@ class BasisDFS:
             yield (leaf,)
         cap = sys.maxsize if self.node_budget is None else self.node_budget  # no walk gets that far
         for root in range(depth, self.min_height - 1, -1):
+            cov, mask, limit, free = _frame(prefix[:root], p)  # a kernel holds n + 2, free doubled
             walk = _kernel(p, total, self.constrained, root, fold)(
-                self, self.visited, cap, cursor, *prefix[1:root], *_frame(prefix[:root], p))
+                self, self.visited, cap, cursor, *prefix[1:root], cov, mask, limit + 1,
+                free | free << p)
             if fold is None:  # a fold's kernel has run to its end by now, and yields no leaf
                 yield walk
             if self._at:  # the budget stopped that kernel, and state() resumes it
@@ -270,8 +272,10 @@ def _kernel(p: int, total: int, constrained: int, root: int, fold: str | None = 
     """The generated DFS below a node of `root` elements, compiled once per shape and process.
 
     It has one nested loop per level, and keeps the coverage, element
-    mask, limit n + 1, free residues and element of every level in locals
-    (`v`, `m`, `l`, `f` and `c` with the level's index).  A shape with more
+    mask, limit n + 2, free residues and element of every level in locals
+    (`v`, `m`, `l`, `f` and `c` with the level's index).  The free
+    residues are held doubled, f | f << p, so that `f >> c % p` has the
+    next free residue from c's on at its lowest bit.  A shape with more
     levels than `_NESTING` walks its top levels here and hands each subtree
     below them to a kernel rooted deeper, through `yield from`, or through
     a call in a fold's kernel, which is a plain function.  A fold's leaf
@@ -297,8 +301,12 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
                    fold: str | None = None) -> str:
     """Source of `walk(dfs, visited, cap, start, c1, ..., c<root - 1>, root's frame)`.
 
-    The walk returns `visited`.  Leaves step by 1 on a free level and by p
-    where one residue is left; otherwise they are picked like inner nodes.
+    The walk returns `visited`.  A node c sets its element mask first and
+    then its coverage with one shift-or, v | m << c: the mask holds bit 0,
+    so that covers c, c + a_i and 2c.  Its limit l = n + 2 is the bit
+    length of the lowest run of ones in v, and a candidate c >= l ends the
+    level.  Leaves step by 1 on a free level and by p where one residue is
+    left; otherwise they are picked like inner nodes.
     A fold's kernel classifies each leaf in place, as `classify_raw` does:
     the bound on b_0, then the window test, then `symmetricisable_raw`,
     looked up through this module when it is called.  The "tally" fold
@@ -330,9 +338,7 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
         lines.extend("    " * depth + text for text in texts)
 
     def jump(depth, c):  # the next candidate from c on whose residue is still free
-        emit(depth, f"r = {c} % {p}", f"a = {free} >> r", "if a:",
-             f"    {c} += (a & -a).bit_length() - 1", "else:",
-             f"    {c} += {p} - r + ({free} & -{free}).bit_length() - 1")
+        emit(depth, f"a = {free} >> {c} % {p}", f"{c} += (a & -a).bit_length() - 1")
 
     def trip(depth, k):
         emit(depth, "if visited > cap:",
@@ -344,12 +350,11 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
         depth += 1
         if k < constrained:
             jump(depth, f"c{k}")
-        emit(depth, f"if c{k} > l{k - 1}:", "    break", "visited += 1",
-             f"v{k} = v{k - 1} | (m{k - 1} << c{k}) | (1 << 2 * c{k})",
-             f"l{k} = (v{k} ^ (v{k} + 1)).bit_length() - 1",
-             f"m{k} = m{k - 1} | (1 << c{k})")
+        emit(depth, f"if c{k} >= l{k - 1}:", "    break", "visited += 1",
+             f"m{k} = m{k - 1} | 1 << c{k}", f"v{k} = v{k - 1} | m{k} << c{k}",
+             f"l{k} = (v{k} ^ (v{k} + 1)).bit_length()")
         if k < constrained:
-            emit(depth, f"f{k} = {free} ^ (1 << c{k} % {p})")
+            emit(depth, f"f{k} = {free} ^ ({1 | 1 << p} << c{k} % {p})")
             free = f"f{k}"
         trip(depth, k)
         if k + 1 == inner:
@@ -359,27 +364,25 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
             emit(depth, f"c{k + 1} = c{k} + 1")
     if inner is None:  # the leaves, from c<leaf> on
         c, q = f"c{leaf}", leaf - 1
-        if step == p:
+        if step == p:  # the last free residue r, whose top copy is bit r + p
             emit(depth, f"{c} += ({free}.bit_length() - 1 - {c}) % {p}")
         emit(depth, "while True:")
         if not step:
             jump(depth + 1, c)
-        emit(depth + 1, f"if {c} > l{q}:", "    break")
+        emit(depth + 1, f"if {c} >= l{q}:", "    break")
         if fold == "maximal":  # count the leaves below the floor at once
-            emit(depth + 1, f"if {c} < floor:")
+            emit(depth + 1, f"if {c} < floor:", f"    n = (floor if floor < l{q} else l{q}) - {c}")
             if step == 1:
-                emit(depth + 2, f"n = min(floor, l{q} + 1) - {c}", "visited += n", f"{c} += n")
+                emit(depth + 2, "visited += n", f"{c} += n")
             else:
-                emit(depth + 2, f"n = (min(floor, l{q} + 1) - {c} + {p - 1}) // {p}",
-                     "visited += n", f"{c} += n * {p}")
+                emit(depth + 2, f"n = (n + {p - 1}) // {p}", "visited += n", f"{c} += n * {p}")
             trip(depth + 2, q)
             emit(depth + 2, "continue")
         emit(depth + 1, "visited += 1")
         trip(depth + 1, q)
         if fold is None:
-            emit(depth + 1, "dfs.visited = visited",
-                 f"dfs.leaf_cov = v{q} | (m{q} << {c}) | (1 << 2 * {c})",
-                 f"dfs.leaf_mask = m{q} | (1 << {c})",
+            emit(depth + 1, "dfs.visited = visited", f"dfs.leaf_mask = m = m{q} | 1 << {c}",
+                 f"dfs.leaf_cov = v{q} | m << {c}",
                  f"dfs._at = t = (1, {upto(leaf)})",
                  "yield t")
         else:  # the bound is b_0 <= e + p // 2 on a p-basis and b_0 <= e + p on a p+-basis

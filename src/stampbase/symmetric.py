@@ -23,7 +23,8 @@ For an extensible origin O the verdict has a difference-set form, which
 `symmetricisable_raw` decides without building S_{m0}: it is admissible
 iff every w in [0, b_0) is a difference a - a' of two elements of O ∪ {0}
 or lies in (b_0 - a) + pℕ for some a in O.  `closure_admissible_at`
-builds the closure literally and stays as the reference.
+builds the closure literally from raw elements and stays as the
+reference; `closure_profile` runs it at each m = 0..m0.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .basis import (
     Basis,
     BasisError,
     PreconditionError,
-    basis_range,
+    basis_range,  # unused here; bench/layers.py traces symmetric.basis_range
     coverage,
     is_p_basis,
     range_from_coverage,
@@ -106,14 +107,11 @@ class SymmetricisabilityReport:
 def closure_profile(origin: Basis, p: int) -> SymmetricisabilityReport:
     """Profile the closures of an origin without any domain checks."""
     m0 = m_zero(origin.tail, p)
-    profile = []
-    for m in range(m0 + 1):
-        closure = build_symmetric_closure(origin, p, m)
-        profile.append(basis_range(closure.elements).admissible)
+    profile = tuple(closure_admissible_at(origin.elements, p, m) for m in range(m0 + 1))
     return SymmetricisabilityReport(
         symmetricisable=profile[m0],
         m0=m0,
-        profile=tuple(profile),
+        profile=profile,
         k0_witness=2 * origin.k + m0,
     )
 

@@ -186,6 +186,18 @@ def test_precomputed_maxima_short_circuit(plain_table):
         range_table([5], 12, mode="plain", maxima={5: fake})
 
 
+def test_precomputed_maxima_of_another_p_are_rejected():
+    # a p = 7 set would put its tail 9 in the p = 5 row
+    with pytest.raises(PreconditionError, match="at p=7"):
+        range_table([5], 12, mode="plain", maxima={5: maximal_symmetricisable(7, "plain")})
+
+
+def test_precomputed_maxima_without_bases_are_rejected():
+    empty = MaximalBasisSet(p=5, mode="plain", tail=8, bases=())
+    with pytest.raises(PreconditionError, match="bases: 0"):
+        range_table([5], 12, mode="plain", maxima={5: empty})
+
+
 def test_table_axis_helpers(plain_table):
     assert plain_table.ps() == list(range(5, 15))
     assert plain_table.ks()[0] == 8

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import inspect
 import json
@@ -166,12 +167,13 @@ def test_a_shape_compiles_once(monkeypatch):
     assert len(set(compiled)) == len(compiled) == 4
 
 
-# sha256 of the yield walk's source, taken when the leaf floor left it
+# sha256 of the yield walk's source, taken when every kernel's node step set its mask
+# first, held its free residues doubled and its limit as n + 2
 KERNEL_SOURCES = {
-    (8, 7, 7, 1, None): "aa9bd6804c0310b4dcf0f4a47ca3ecafc039febca6b0e04fe64a0214c1f78372",
-    (9, 9, 8, 1, None): "07b9f009256d25e53a486b8d4a187312726305ebddbd92de7c89f7901ea25711",
-    (12, 11, 11, 4, None): "0951a34ebfb08ca29409ccc12006670b1f7c28dc83202762bb937846af85fb00",
-    (23, 22, 22, 1, 21): "937cdc5ea3a183b8675e27e9a1950594a5260c0e93ff2b2e664ff5ab9f62df20",
+    (8, 7, 7, 1, None): "372ef65c6a86f102eb092d715899b7291d500f670330c176c644e67cffc1d2c0",
+    (9, 9, 8, 1, None): "f2301ae67dda9c79d6a2f0497c47b8795c52b430ef5ddcbe5cbdba188836b6b2",
+    (12, 11, 11, 4, None): "dba27ad2e15558e16fbf7c6c9003f71e61833744c9ec0455e5a702109e587480",
+    (23, 22, 22, 1, 21): "1cee89675304e747bb74f192da876f5d1a39b2fdcaa1856bf575d02a77d2b91e",
 }
 
 
@@ -181,12 +183,12 @@ def test_the_yield_walk_source_is_pinned(shape):
     assert hashlib.sha256(source).hexdigest() == KERNEL_SOURCES[shape]
 
 
-# sha256 of the census tally's source, taken before the maximal fold existed
+# sha256 of the census tally's source, taken with the same node step
 TALLY_SOURCES = {
-    (8, 7, 7, 1, None): "b876619bf94a19ae2a1924591f4e5b90241d2a17b0789e692f30978bf469a37d",
-    (12, 11, 11, 4, None): "671b147855ecf6c4305a5879c6ebe4a720d8459b5881996b00c715a5312395e4",
-    (15, 14, 14, 1, None): "00d520265fed8197fc7b1a5549dd0a161b0a70240edf54d3f51e81cb1a914ec0",
-    (23, 22, 22, 1, 21): "faf28ace335c6ca62f3c4a189252cae219298d2d0cb3dbad263d275e68bab836",
+    (8, 7, 7, 1, None): "ddb9206c38900ae5db57158b6d5c0d6a5f12c00ba98733240bcdc10e5f501606",
+    (12, 11, 11, 4, None): "fd8057e458980f6c432a1ace2184059ca8176985412f3f1cb0e8049fa48be295",
+    (15, 14, 14, 1, None): "7c67dcf5e183625331cdedd92c19bdb8c1c6f7414a7a2467d6b46bc6fc9102c4",
+    (23, 22, 22, 1, 21): "1cf31adcd19fb4910fa2fe3912c519c8cb9d5529f76295fbd52daac6223859c7",
 }
 
 
@@ -196,13 +198,13 @@ def test_the_tally_source_is_pinned(shape):
     assert hashlib.sha256(source).hexdigest() == TALLY_SOURCES[shape]
 
 
-# sha256 of the maximal fold's source, taken before `BasisDFS.fold` existed
+# sha256 of the maximal fold's source, taken with the same node step
 MAXIMAL_SOURCES = {
-    (14, 13, 13, 1, None): "7e9623217be19c067fca0bd7ed19fe0ca987c674503b3669166e2b705f8d2016",
-    (14, 14, 13, 1, None): "46ac7474ae35e5dac26d88d2c328660255d6c3286ab82cc7b148fb2c2bd704e4",
-    (12, 12, 11, 4, None): "9afa7fab7e083b00f80f48c6d9a97a02980b9038849d19992cac16bb72b53dcd",
-    (22, 22, 21, 1, 21): "b7ae5e6bdd4aec857a67fb9a21c3cacfc01019e9e2f9a4fec42c860b71000b98",
-    (22, 22, 21, 21, None): "56b3ad3fea43d8fe6ca14f042b4a0166109a47d5885d5a99a33bf669721fd593",
+    (14, 13, 13, 1, None): "c8e1f8f9802cb5c1e6e970eadf3fb59ba53de80d4367b0b15af01fd55bae70c8",
+    (14, 14, 13, 1, None): "21d211332547becd62582ece7ed1b1014595bd9ae9df675652bd78fc0ef49ca1",
+    (12, 12, 11, 4, None): "4030955c9660640c0d8bd2eaa4724e24da973d15198480f9a51482a962052ecf",
+    (22, 22, 21, 1, 21): "e5b0c5a485f487eb74d23953d7b1d49e9f4759ee1f880583503c62151654d0a9",
+    (22, 22, 21, 21, None): "1367a22a7c3136e6ffc424af2c9e519f7c7d291f44d9672eb3c6f9049aff092e",
 }
 
 
@@ -212,14 +214,14 @@ def test_the_maximal_source_is_pinned(shape):
     assert hashlib.sha256(source).hexdigest() == MAXIMAL_SOURCES[shape]
 
 
-# sha256 of the records fold's source; a chained shape's outer kernel only calls the
-# inner one, so it is the census tally's
+# sha256 of the records fold's source, taken with the same node step; a chained
+# shape's outer kernel only calls the inner one, so it is the census tally's
 RECORDS_SOURCES = {
-    (8, 7, 7, 1, None): "b6c3f81842e41bdbb8361b5952064e7a7de9262979923d8daddf1649ac041a3c",
-    (9, 9, 8, 1, None): "c9f1853d166aeb1ca33e2e8c319571b33b48e46c704d34a1c96f2e56fab3e4ea",
-    (12, 11, 11, 4, None): "de2445a62f561dbabcef5f10a11dfe751d6daac62de7fa1732e6e3fd9a004784",
-    (23, 22, 22, 1, 21): "faf28ace335c6ca62f3c4a189252cae219298d2d0cb3dbad263d275e68bab836",
-    (23, 22, 22, 21, None): "d30a1e596bda5ed38dd23a289c06d1c498e504a3e535743615898ddb87f17cd6",
+    (8, 7, 7, 1, None): "31b41c63b63cbc9714e8877029c8d31451ccdc94fab029e651e13d092cd20172",
+    (9, 9, 8, 1, None): "fc269c38a7c9c9a0b7ba5769a3a4e37c2e2d1a9a2d7046f036a18bd30f82b4a7",
+    (12, 11, 11, 4, None): "b7c61f9b7c31717e12cede987e5180a016dff367bec044813dbb4d91741aaf11",
+    (23, 22, 22, 1, 21): "1cf31adcd19fb4910fa2fe3912c519c8cb9d5529f76295fbd52daac6223859c7",
+    (23, 22, 22, 21, None): "0653ab8f0c01316f1c69c45542fba5847106dd71c106c0e00dc6b11a369619b6",
 }
 
 
@@ -350,6 +352,32 @@ def test_a_tally_walk_trips_like_the_yield_walk(p):
         drained = outcome(lambda: len(list(BasisDFS(p, p - 1, node_budget=budget))))
         counted = outcome(lambda: classify(p, node_budget=budget).n_p)
         assert counted == drained, budget
+
+
+@functools.cache
+def oracle_node_count(p, total):
+    return len(search_nodes(p, total, p - 1))
+
+
+@pytest.mark.parametrize("nesting", [search._NESTING, 3], ids=["single", "chained"])
+@pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
+@pytest.mark.parametrize("p", range(5, 13))
+def test_every_walk_counts_every_node(monkeypatch, p, extra, nesting):
+    # the yield walk and each fold visit every node of the tree once, so a budget of
+    # one node less trips at the last node, and one of exactly that many does not
+    total = p - 1 + extra
+    nodes = oracle_node_count(p, total)
+    monkeypatch.setattr(search, "_KERNELS", {})
+    monkeypatch.setattr(search, "_NESTING", nesting)
+    for kind in (None, "tally", "maximal", "records"):
+        for budget in (None, nodes):
+            dfs = BasisDFS(p, total, constrained=p - 1, node_budget=budget)
+            list(dfs) if kind is None else dfs.fold(kind)
+            assert dfs.visited == nodes, (kind, budget)
+        dfs = BasisDFS(p, total, constrained=p - 1, node_budget=nodes - 1)
+        with pytest.raises(BudgetExceededError) as err:
+            list(dfs) if kind is None else dfs.fold(kind)
+        assert (err.value.visited, dfs.visited) == (nodes, nodes), kind
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])

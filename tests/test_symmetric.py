@@ -10,6 +10,7 @@ from stampbase.basis import (
     coverage,
     is_symmetric,
 )
+from stampbase.optimize import maximal_symmetricisable
 from stampbase.symmetric import (
     build_symmetric_closure,
     closure_admissible_at,
@@ -150,3 +151,27 @@ def test_difference_set_test_matches_the_literal_closure(p, extra):
         if extensible:
             literal = closure_admissible_at(elems, p, m_zero(elems[-1], p))
             assert symmetricisable_raw(elems, coverage(elems)[1], p) is literal, elems
+
+
+def built_profile(origin, p):
+    """Admissibility of S_0 ... S_{m0}, each closure built as a Basis and ranged."""
+    return tuple(basis_range(build_symmetric_closure(origin, p, m).elements).admissible
+                 for m in range(m_zero(origin.tail, p) + 1))
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
+@pytest.mark.parametrize("p", range(5, 11))
+def test_profile_matches_the_built_closures_at_every_extensible_leaf(p, extra):
+    for elems, extensible, _ in classified_leaves(p, extra):
+        if extensible:
+            origin = Basis(elems)
+            assert closure_profile(origin, p).profile == built_profile(origin, p), elems
+
+
+@pytest.mark.parametrize("mode", ["plain", "plus"])
+@pytest.mark.parametrize("p", range(5, 15))
+def test_profile_matches_the_built_closures_at_every_maximal_basis(p, mode):
+    for origin in maximal_symmetricisable(p, mode).bases:
+        report = closure_profile(origin, p)
+        assert report.profile == built_profile(origin, p), origin
+        assert report.symmetricisable is report.profile[-1] is True, origin
