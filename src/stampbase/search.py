@@ -56,7 +56,7 @@ class BasisDFS:
     Yields element tuples of length `total`.  The first `constrained`
     levels must use distinct nonzero residues mod p; any further levels
     are free (used for the extra elements of plus-mode searches).  After a
-    yield, leaf_cov / leaf_mask / leaf_n hold the coverage state of the
+    yield, leaf_cov / leaf_mask hold the coverage and element mask of the
     yielded basis so consumers can continue incrementally.
 
     The walk runs in a kernel generated for its shape (see `_kernel`), and
@@ -68,7 +68,10 @@ class BasisDFS:
     first h elements; h runs from 1 to the depth of the starting prefix.
     Every walk starts from a checked frontier, a fresh one from the root's
     (the element 1, with 2 as its next child), and a frontier that has
-    already visited more nodes than `node_budget` is refused there.
+    already visited more nodes than `node_budget` is refused there.  A
+    frontier at a leaf restarts at the leaf's parent, with the leaf as the
+    next candidate and one node fewer visited, so the kernel visits and
+    counts that leaf again; h then runs up to the parent's depth.
 
     `fold` runs the walk instead in kernels that classify each leaf into
     one list rather than yield it (see `_kernel_source`).  Only the
@@ -88,8 +91,8 @@ class BasisDFS:
     ):
         if p < 3:
             raise PreconditionError(f"enumeration needs p >= 3, got {p}")
-        if total < 1:
-            raise PreconditionError(f"need at least one level, got {total}")
+        if total < 2:  # the root would be a leaf, and have no parent to restart at
+            raise PreconditionError(f"need at least two levels, got {total}")
         constrained = total if constrained is None else constrained
         if constrained > p - 1:
             raise PreconditionError(
@@ -109,13 +112,6 @@ class BasisDFS:
         prefix, cursor = self._restore(state)
         self._at = (*prefix, cursor - 1)
         self._walker = chain.from_iterable(self._path(prefix, cursor))
-
-    @property
-    def leaf_n(self) -> int | None:
-        """Range of the last yielded leaf."""
-        if self.leaf_cov is None:
-            return None
-        return range_from_coverage(self.leaf_cov)
 
     def _restore(self, state: dict) -> tuple[list[int], int]:
         """Check a frontier, rejecting any that no walk could reach or the budget forbids."""
@@ -164,13 +160,17 @@ class BasisDFS:
             )
         if visited < len(prefix):
             raise PreconditionError("corrupt state: fewer nodes visited than the prefix holds")
-        if not 1 <= self.min_height <= len(prefix):
+        depth = min(len(prefix), self.total - 1)  # a leaf's walk starts at its parent
+        if not 1 <= self.min_height <= depth:
             raise PreconditionError(
-                f"min_height must be within 1..{len(prefix)}, the depth of the "
-                f"starting prefix, not {self.min_height}"
+                f"min_height must be within 1..{depth}, the depth of the starting "
+                f"prefix or of a leaf's parent, not {self.min_height}"
             )
         if self.node_budget is not None and visited > self.node_budget:
             raise BudgetExceededError(visited, self.node_budget)
+        if depth < len(prefix):  # the kernel visits the leaf again, and counts it back
+            self.visited = visited - 1
+            return prefix[:-1], prefix[-1]
         self.visited = visited
         return prefix, cursors[-1]
 
@@ -202,10 +202,8 @@ class BasisDFS:
         ending in `_ends[extensible + symmetricisable]`, and their count by
         that sum; at the first leaf where `visited` reaches `_due` it sets
         the frontier there and calls `_pause()`, which returns the next due.
-        A frontier restored at a leaf yields that leaf before any kernel
-        runs, and `classify_raw` gathers it here.
         """
-        k, p = self.total - 1, self.p
+        k = self.total - 1
         self._fold = kind
         if kind == "tally":
             self._tally = [0] * (3 * (k * (k + 3) // 2 + 2))
@@ -213,17 +211,7 @@ class BasisDFS:
             self._tally = [[], [0, 0, 0]]
         else:
             self._tally = []
-        for elems in self:
-            ext, sym = classify_raw(elems, self.leaf_cov, self.leaf_mask, p)
-            if kind == "tally":
-                self._tally[3 * elems[-1] + ext + sym] += 1
-            elif kind == "records":
-                tail = elems[-1] - (p if self.constrained < self.total else 0)
-                self._tally[0].append(f'{{"p":{p},"basis":[{",".join(map(str, elems))}],'
-                                      f'"tail":{tail}{self._ends[ext + sym]}')
-                self._tally[1][ext + sym] += 1
-            elif sym:  # the walk's first leaf, so nothing is kept yet
-                self._tally.append(elems)
+        next(self._walker, None)  # a fold's kernels yield nothing, so this runs them all
         return self._tally
 
     def _trip(self, visited: int, prefix: tuple[int, ...]) -> BudgetExceededError:
@@ -242,18 +230,11 @@ class BasisDFS:
         Each kernel is built when the one before it has ended, so it starts
         from the `visited` that one left.
         """
-        p, total, fold = self.p, self.total, self._fold
-        depth = len(prefix)
-        if depth == total:  # a restored leaf, or the only node of a one-level search
-            self.leaf_cov, self.leaf_mask, _, _ = _frame(prefix, p)
-            leaf = tuple(prefix)
-            self._at = leaf if total > self.min_height else ()
-            depth, cursor = total - 1, leaf[-1] + 1
-            yield (leaf,)
+        p, fold = self.p, self._fold
         cap = sys.maxsize if self.node_budget is None else self.node_budget  # no walk gets that far
-        for root in range(depth, self.min_height - 1, -1):
+        for root in range(len(prefix), self.min_height - 1, -1):
             cov, mask, limit, free = _frame(prefix[:root], p)  # a kernel holds n + 2, free doubled
-            walk = _kernel(p, total, self.constrained, root, fold)(
+            walk = _kernel(p, self.total, self.constrained, root, fold)(
                 self, self.visited, cap, cursor, *prefix[1:root], cov, mask, limit + 1,
                 free | free << p)
             if fold is None:  # a fold's kernel has run to its end by now, and yields no leaf
@@ -426,7 +407,9 @@ def _mode_levels(p: int, mode: str) -> tuple[int, int]:
 
 def subtree_prefixes(p: int, total: int, constrained: int, depth: int) -> list:
     """All valid search prefixes of the given depth, in lexicographic order."""
-    depth = max(1, min(depth, total - 1))
+    depth = min(depth, total - 1)
+    if depth <= 1:  # every walk starts at the element 1, and no walk has one level
+        return [(1,)]
     return list(BasisDFS(p, depth, constrained=min(constrained, depth)))
 
 
@@ -584,9 +567,10 @@ def range_comparison_stats(p: int, node_budget: int | None = None) -> RangeCompa
     dfs = BasisDFS(p, p - 1, node_budget=node_budget)
     for elems in dfs:
         yardstick = elems[-1] + p - 1
-        if dfs.leaf_n < yardstick:
+        n = range_from_coverage(dfs.leaf_cov)
+        if n < yardstick:
             below += 1
-        elif dfs.leaf_n == yardstick:
+        elif n == yardstick:
             equal += 1
         else:
             above += 1

@@ -35,7 +35,6 @@ from .basis import (
     Basis,
     BasisError,
     PreconditionError,
-    basis_range,  # unused here; bench/layers.py traces symmetric.basis_range
     coverage,
     is_p_basis,
     range_from_coverage,

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from stampbase import cli, maxima_record, range_table, tail_distribution
+from stampbase.search import BasisDFS
 
 from frozen import (
     CENSUS, CLASSIFICATION, MAXIMAL_PLAIN, MAXIMAL_PLAIN_TAILS, MAXIMAL_PLUS,
@@ -200,6 +201,33 @@ def test_enumerate_checkpoint_resume_round_trip(tmp_path, capsys):
     assert code == 0
     assert out.read_bytes() == ref.read_bytes()
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("p, mode", [(10, "plain"), (8, "plus")])
+def test_enumerate_resumes_from_a_hand_written_leaf_checkpoint(tmp_path, capsys, p, mode):
+    # no run saves a leaf, but a checkpoint at one restarts at the leaf's parent, where
+    # the kernel visits, counts and writes that leaf again, as the fresh run did
+    ref, out, ckpt = tmp_path / "ref.jsonl", tmp_path / "o.jsonl", tmp_path / "c.json"
+    argv = ["enumerate", str(p), "--classify", "--mode", mode]
+    code, summary, _ = run_cli(capsys, *argv, "--out", str(ref))
+    assert code == 0
+    lines = ref.read_bytes().splitlines(keepends=True)
+    dfs = BasisDFS(p, p - 1 + (mode == "plus"), constrained=p - 1)
+    counts = {"count": 0, "n_e": 0, "n_s": 0}
+    for i, leaf in enumerate(dfs):
+        record = json.loads(lines[i])
+        assert record["basis"] == list(leaf)
+        out.write_bytes(b"".join(lines[:i + 1]))
+        ckpt.write_text(json.dumps({
+            "p": p, "prefix": list(leaf), "cursors": [c + 1 for c in leaf[1:]] + [leaf[-1] + 1],
+            "visited": dfs.visited, "partial_stats": {"mode": mode, "classify": True, **counts},
+        }))
+        resumed = run_cli(capsys, *argv, "--out", str(out), "--checkpoint", str(ckpt), "--resume")
+        assert (resumed, out.read_bytes()) == ((0, summary, ""), ref.read_bytes()), i
+        counts["count"] += 1
+        counts["n_e"] += record["extensible"]
+        counts["n_s"] += record["symmetricisable"]
+    assert counts["count"] == len(lines)
 
 
 @pytest.mark.parametrize("frontier", [

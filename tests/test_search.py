@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import stampbase
 from stampbase import search
-from stampbase.basis import Basis, PreconditionError, basis_range, coverage
+from stampbase.basis import Basis, PreconditionError, basis_range, coverage, range_from_coverage
 from stampbase.extension import is_extensible
 from stampbase.optimize import maximal_symmetricisable
 from stampbase.search import (
@@ -59,7 +59,7 @@ def test_dfs_matches_recursive_walk(p, extra):
     leaves = []
     for elems in dfs:
         assert (dfs.leaf_cov, dfs.leaf_mask) == coverage(elems)
-        assert dfs.leaf_n == brute_range(elems)
+        assert range_from_coverage(dfs.leaf_cov) == brute_range(elems)
         leaves.append(elems)
     assert (leaves, dfs.visited) == search_tree(p, total, p - 1)
 
@@ -80,11 +80,21 @@ def test_frontier_restores_at_every_yield(p, extra):
     assert dfs.visited == visited
 
 
-@pytest.mark.parametrize("p, total", [(8, 1), (8, 2), (8, 3), (9, 4), (6, 4)])
+@pytest.mark.parametrize("p, total", [(8, 2), (8, 3), (9, 4), (6, 4)])
 def test_shallow_dfs_matches_recursive_walk(p, total):
     # the split searches: several residues are still free at the last level
     dfs = BasisDFS(p, total, constrained=total)
     assert (list(dfs), dfs.visited) == search_tree(p, total, total)
+
+
+def test_a_one_level_walk_is_rejected():
+    # its root would be a leaf with no parent to restart at; a one-level split is the root
+    for p in (3, 8):
+        with pytest.raises(PreconditionError, match="two levels"):
+            BasisDFS(p, 1)
+    for depth in (1, 2, 3):
+        assert subtree_prefixes(3, 2, 2, depth) == [(1,)]
+    assert classify(3, threads=2) == classify(3)
 
 
 def test_min_height_must_lie_within_the_start_prefix():
@@ -257,8 +267,12 @@ def test_chained_tally_kernels_count_like_one(monkeypatch, p):
 
 
 def test_a_tally_walk_restored_at_a_leaf_counts_that_leaf():
-    for elems, ext, sym in classified_leaves(8):
-        assert _tail_rows(_subtree_dfs(8, 7, 7, elems), 8) == {3 * elems[-1] + ext + sym: 1}
+    # the walk restarts at the leaf's parent, so it counts the leaf and every one after it
+    leaves = list(classified_leaves(8))
+    for i, (elems, _, _) in enumerate(leaves):
+        state = {"p": 8, "prefix": list(elems), "cursors": [c + 1 for c in elems[1:]] + [elems[-1] + 1]}
+        rows = Counter(3 * leaf[-1] + ext + sym for leaf, ext, sym in leaves[i:])
+        assert _tail_rows(BasisDFS(8, 7, state=state), 8) == rows
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
@@ -313,15 +327,21 @@ def test_chained_records_kernels_pause_like_one(tmp_path, monkeypatch, mode):
 @pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
 @pytest.mark.parametrize("p", range(8, 11))
 def test_a_fold_restored_at_a_leaf_gathers_like_the_yield_walk(p, extra):
-    # the restored leaf comes before any kernel runs, and the fold walks on past it
+    # the walk restarts at the leaf's parent, where the kernel visits the leaf again and
+    # walks on past it; a walk confined to the leaf alone has no parent to restart at
     total = p - 1 + extra
     leaves = list(BasisDFS(p, total, constrained=p - 1))
     for leaf in leaves[::max(1, len(leaves) // 9)] + leaves[-1:]:
         state = {"p": p, "prefix": list(leaf), "cursors": [c + 1 for c in leaf[1:]] + [leaf[-1] + 1]}
-        for height in (1, total // 2, total):
+        with pytest.raises(PreconditionError, match="min_height"):
+            BasisDFS(p, total, constrained=p - 1, state=state, min_height=total)
+        for height in (1, total // 2):
             def walk():
                 return BasisDFS(p, total, constrained=p - 1, state=state, min_height=height)
             dfs, rows = walk(), []
+            assert dfs.state() == {"p": p, "prefix": list(leaf[:-1]),
+                                   "cursors": [c + 1 for c in leaf[1:-1]] + [leaf[-1]],
+                                   "visited": total - 1}
             for elems in dfs:
                 rows.append((elems, *classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p)))
             tops = [elems[-1] for elems, _, sym in rows if sym]
