@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .basis import Basis, PreconditionError, coverage, first_gap, range_from_coverage
+from .basis import Basis, PreconditionError, coverage, first_gap
 from .symmetric import symmetricisable_raw
 
 class BudgetExceededError(RuntimeError):
@@ -73,11 +73,12 @@ class BasisDFS:
     next candidate and one node fewer visited, so the kernel visits and
     counts that leaf again; h then runs up to the parent's depth.
 
-    `fold` runs the walk instead in kernels that classify each leaf into
-    one list rather than yield it (see `_kernel_source`).  Only the
-    "records" fold keeps its frontier, at each of its pauses; after a
-    trip no fold resumes from `state()`, but a records run resumes from
-    its last pause.
+    `fold(kind)` runs the walk instead in kernels that gather each leaf into
+    one list rather than yield it (see `_kernel_source`), so a walk comes in
+    five kinds: the yield walk and the "tally", "maximal", "records" and
+    "range" folds.  Only the "records" fold keeps its frontier, at each of
+    its pauses; after a trip no fold resumes from `state()`, but a records
+    run resumes from its last pause.
     """
 
     def __init__(
@@ -202,15 +203,12 @@ class BasisDFS:
         ending in `_ends[extensible + symmetricisable]`, and their count by
         that sum; at the first leaf where `visited` reaches `_due` it sets
         the frontier there and calls `_pause()`, which returns the next due.
+        The "range" fold counts the leaves with range below, at and above top + p - 1.
         """
         k = self.total - 1
         self._fold = kind
-        if kind == "tally":
-            self._tally = [0] * (3 * (k * (k + 3) // 2 + 2))
-        elif kind == "records":
-            self._tally = [[], [0, 0, 0]]
-        else:
-            self._tally = []
+        self._tally = {"tally": [0] * (3 * (k * (k + 3) // 2 + 2)), "records": [[], [0, 0, 0]],
+                       "range": [0, 0, 0], "maximal": []}[kind]
         next(self._walker, None)  # a fold's kernels yield nothing, so this runs them all
         return self._tally
 
@@ -259,8 +257,8 @@ def _kernel(p: int, total: int, constrained: int, root: int, fold: str | None = 
     next free residue from c's on at its lowest bit.  A shape with more
     levels than `_NESTING` walks its top levels here and hands each subtree
     below them to a kernel rooted deeper, through `yield from`, or through
-    a call in a fold's kernel, which is a plain function.  A fold's leaf
-    test nests one loop more, so its kernel counts that loop as a level.
+    a call in a fold's kernel, which is a plain function.  A classifying
+    leaf test nests one loop more, so every fold counts one more level.
     """
     key = (p, total, constrained, root, fold)
     if key not in _KERNELS:
@@ -288,7 +286,8 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
     length of the lowest run of ones in v, and a candidate c >= l ends the
     level.  Leaves step by 1 on a free level and by p where one residue is
     left; otherwise they are picked like inner nodes.
-    A fold's kernel classifies each leaf in place, as `classify_raw` does:
+    The yield walk (`fold` None) yields each leaf; the "tally", "maximal"
+    and "records" folds classify it in place, as `classify_raw` does:
     the bound on b_0, then the window test, then `symmetricisable_raw`,
     looked up through this module when it is called.  The "tally" fold
     counts every leaf into `dfs._tally`; the "maximal" fold keeps
@@ -297,7 +296,8 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
     fold formats each leaf's JSONL line with one f-string over the level
     locals, which looks up the text of each element in `digits` (comma
     included) and of the leaf with the tail in `tails`; it counts the line
-    and pauses as `BasisDFS.fold` describes.
+    and pauses as `BasisDFS.fold` describes.  The "range" fold counts the
+    leaf's range, read off its coverage, against the yardstick c + p - 1.
     """
     leaf = total - 1  # the index of a leaf's last element
     step = 1 if constrained <= leaf else p if total == p - 1 else 0
@@ -308,7 +308,7 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
 
     lines = [f"def walk(dfs, visited, cap, c{root}, {upto(root - 1)}v{root - 1}, m{root - 1}, "
              f"l{root - 1}, {free}):"]
-    if inner is None and fold == "tally":
+    if inner is None and fold in ("tally", "range"):
         lines.append("    tally = dfs._tally")
     elif inner is None and fold == "records":
         lines += ["    out, tally = dfs._tally", "    ends, due = dfs._ends, dfs._due"]
@@ -366,6 +366,10 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
                  f"dfs.leaf_cov = v{q} | m << {c}",
                  f"dfs._at = t = (1, {upto(leaf)})",
                  "yield t")
+        elif fold == "range":  # d = n - (c + p - 1), as n + 2 is the bit length of w's lowest run
+            emit(depth + 1, f"w = v{q} | (m{q} | 1 << {c}) << {c}",
+                 f"d = (w ^ (w + 1)).bit_length() - {c} - {p + 1}",
+                 "tally[(d >= 0) + (d > 0)] += 1")
         else:  # the bound is b_0 <= e + p // 2 on a p-basis and b_0 <= e + p on a p+-basis
             sym = f"search.symmetricisable_raw((1, {upto(leaf)}), m{q} | 1 << {c}, {p})"
             test = [f"if {c} <= {f'c{q}' if q else 1} + {p // 2 if step == p else p}:",
@@ -495,8 +499,8 @@ class PlusBasisRecord:
 
 
 def enumerate_p_bases(p: int, node_budget: int | None = None) -> int:
-    """Number of p-bases, counted in one walk without building them."""
-    return sum(1 for _ in BasisDFS(p, p - 1, node_budget=node_budget))
+    """Number of p-bases: the total of the range fold, whose leaf step is the cheapest."""
+    return sum(BasisDFS(p, p - 1, node_budget=node_budget).fold("range"))
 
 
 @dataclass(frozen=True)
@@ -563,18 +567,7 @@ class RangeComparison:
 
 
 def range_comparison_stats(p: int, node_budget: int | None = None) -> RangeComparison:
-    below = equal = above = 0
-    dfs = BasisDFS(p, p - 1, node_budget=node_budget)
-    for elems in dfs:
-        yardstick = elems[-1] + p - 1
-        n = range_from_coverage(dfs.leaf_cov)
-        if n < yardstick:
-            below += 1
-        elif n == yardstick:
-            equal += 1
-        else:
-            above += 1
-    return RangeComparison(p=p, below=below, equal=equal, above=above)
+    return RangeComparison(p, *BasisDFS(p, p - 1, node_budget=node_budget).fold("range"))
 
 
 @dataclass(frozen=True)
@@ -627,7 +620,12 @@ _COUNT_KEYS = ("count", "n_e", "n_s")
 
 
 def save_checkpoint(path: str, state: dict) -> None:
-    """Write-new-then-rename so a crash never leaves a torn checkpoint."""
+    """Write-new-then-rename, with an fsync, so a crash never leaves a torn checkpoint.
+
+    The record file is only flushed before it, so the pair survives a crash of
+    the process; after a power loss the file can lack lines the checkpoint
+    counts, and a resume exits 2.
+    """
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(state, fh)

@@ -7,6 +7,7 @@ rebuild each extended basis from scratch.
 """
 
 import itertools
+from collections import Counter
 
 
 def brute_range(elements) -> int:
@@ -95,3 +96,28 @@ def search_tree(p: int, total: int, constrained: int):
     """Leaves (the nodes with `total` elements, in lexicographic order) and node count."""
     nodes = search_nodes(p, total, constrained)
     return [n for n in nodes if len(n) == total], len(nodes)
+
+
+def node_liveness(p: int) -> dict:
+    """Every node of the plain p-basis tree, in depth-first order, mapped to whether it is live.
+
+    A node is live if an extensible leaf lies below it, the leaf itself
+    included: each arithmetic extension A_{j+i}, i = 0..k* with
+    k* = floor((b_0 - 1) / p), is admissible, rebuilt from scratch.  Every
+    other node is dead.
+    """
+    nodes = search_nodes(p, p - 1, p - 1)
+    live = set()
+    for node in nodes:
+        if len(node) == p - 1 and all(brute_extension_profile(node, p, (node[-1] - 1) // p)):
+            live.update(node[:depth] for depth in range(1, p))
+    return {node: node in live for node in nodes}
+
+
+def dead_roots(liveness: dict) -> Counter:
+    """The dead nodes whose parent is live, counted by depth (the number of elements).
+
+    A search that cut exactly there would visit the live nodes and these.
+    """
+    return Counter(len(node) for node, live in liveness.items()
+                   if not live and liveness.get(node[:-1]))

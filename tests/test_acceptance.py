@@ -2,8 +2,9 @@
 
 Each test prints as a single pass/fail line under pytest -v.  The frozen
 constants live in frozen.py; the brute-force cross-checks in oracles.py.
-The longest census sizes (p = 15, 16) are marked stretch; they run by
-default and can be deselected with -m 'not stretch'.
+The longest sizes that run by default (p = 15-17) are marked stretch and
+can be deselected with -m 'not stretch'.  The p = 18 and 19 rows are
+marked long and run only with --run-long.
 """
 
 import random
@@ -47,6 +48,8 @@ from frozen import (
     MAXIMAL_PLAIN_TAILS,
     MAXIMAL_PLUS,
     MAXIMAL_PLUS_TAILS,
+    MAXIMAL_SINGLE,
+    MAXIMAL_TAIL_TIES,
     OPTIMAL_CLOSURE_14,
     PERIODIC_SEEDS,
     RANGE_COMPARISON,
@@ -220,3 +223,28 @@ def test_stretch_census_p16():
     assert enumerate_p_bases(16) == CENSUS[16]
     stats = classify(16)
     assert (stats.n_p, stats.n_e, stats.n_s) == CLASSIFICATION[16]
+
+
+@pytest.mark.stretch
+def test_stretch_census_p17():
+    stats = classify(17)
+    assert (stats.n_p, stats.n_e, stats.n_s) == CLASSIFICATION[17]
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize("mode", ["plain", "plus"])
+@pytest.mark.parametrize("p", [15, 16, 17])
+def test_stretch_maximal_single_bases(p, mode):
+    mset = maximal_symmetricisable(p, mode)
+    assert (mset.tail, len(mset.bases)) == MAXIMAL_TAIL_TIES[mode][p]
+    assert [b.elements for b in mset.bases] == [MAXIMAL_SINGLE[mode][p]]
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("p", [18, 19])
+def test_long_census_and_maximal_tails(p):
+    stats = classify(p)
+    assert (stats.n_p, stats.n_e, stats.n_s) == CLASSIFICATION[p]
+    for mode in ("plain", "plus"):
+        mset = maximal_symmetricisable(p, mode)
+        assert (mset.tail, len(mset.bases)) == MAXIMAL_TAIL_TIES[mode][p], mode

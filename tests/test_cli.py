@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from stampbase import cli, maxima_record, range_table, tail_distribution
-from stampbase.search import BasisDFS
+from stampbase.search import BasisDFS, BudgetExceededError
 
 from frozen import (
     CENSUS, CLASSIFICATION, MAXIMAL_PLAIN, MAXIMAL_PLAIN_TAILS, MAXIMAL_PLUS,
@@ -467,6 +467,29 @@ def test_tables_budget_writes_nothing(tmp_path, capsys):
     assert code == 3 and out == ""
     assert err.startswith("error:")
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("which", ["1", "2"])
+def test_tables_1_and_2_trip_where_the_yield_walk_did(capsys, which):
+    # every p walks afresh, so the first p whose yield walk passes the budget decides the
+    # exit and its message; a budget of the last walk's size, the largest, does not trip
+    def yield_walks(budget):
+        for p in range(3, 10):
+            try:
+                list(BasisDFS(p, p - 1, node_budget=budget))
+            except BudgetExceededError as err:
+                return 3, f"error: {err}\n"
+        return 0, ""
+
+    last = BasisDFS(9, 8)
+    list(last)
+    for budget in range(1, last.visited + 1):
+        code, out, err = run_cli(capsys, "tables", which, "--p-max", "9", "--node-budget",
+                                 str(budget))
+        assert (code, err) == yield_walks(budget), budget
+        assert (out == "") == (code == 3)
+    assert code == 0
+    assert yield_walks(last.visited - 1)[0] == 3
 
 
 def test_tables_to_file(tmp_path, capsys):

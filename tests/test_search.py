@@ -38,7 +38,11 @@ from stampbase.symmetric import closure_profile, is_symmetricisable_plus
 
 from conftest import classified_leaves
 from frozen import CENSUS, CLASSIFICATION, RANGE_COMPARISON
-from oracles import brute_range, naive_p_bases, search_nodes, search_tree
+from oracles import (
+    brute_range, dead_roots, naive_p_bases, node_liveness, search_nodes, search_tree,
+)
+
+FOLDS = ("tally", "maximal", "records", "range")  # every kind of BasisDFS.fold
 
 
 @pytest.mark.parametrize("p", range(3, 11))
@@ -154,7 +158,7 @@ def test_every_shape_compiles(p):
         for depth in range(1, 5):
             split = max(1, min(depth, total - 1))
             assert inspect.isgeneratorfunction(search._kernel(p, total, p - 1, split))
-            for fold in ("tally", "maximal", "records"):  # functions, one loop deeper at leaves
+            for fold in FOLDS:  # functions, one loop deeper at leaves
                 assert inspect.isfunction(search._kernel(p, total, p - 1, split, fold))
             if split > 1:
                 assert inspect.isgeneratorfunction(search._kernel(p, split, split, 1))
@@ -241,6 +245,23 @@ def test_the_records_source_is_pinned(shape):
     assert hashlib.sha256(source).hexdigest() == RECORDS_SOURCES[shape]
 
 
+# sha256 of the range fold's source, taken with the same node step; a chained shape's
+# outer kernel only calls the inner one, so it is the census tally's
+RANGE_SOURCES = {
+    (8, 7, 7, 1, None): "3a082bc50c870c02e10bf305ea8ef343ce932856ed39adb116bc3cd2d4e020a6",
+    (12, 11, 11, 4, None): "745b44deb7543b4868ec9b2689cb131d08843a9b522f5f8c2b77f8e492459b40",
+    (15, 14, 14, 1, None): "9dd931a66cf010a64d9bebb368da70b01108ebfe1a9f01ffe7f1c5f10618f5af",
+    (23, 22, 22, 1, 21): "1cf31adcd19fb4910fa2fe3912c519c8cb9d5529f76295fbd52daac6223859c7",
+    (23, 22, 22, 21, None): "337592f014581269234484f57daaa9293dbd34b683eb2eaa01a5328e465504dd",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(RANGE_SOURCES))
+def test_the_range_source_is_pinned(shape):
+    source = search._kernel_source(*shape, "range").encode()
+    assert hashlib.sha256(source).hexdigest() == RANGE_SOURCES[shape]
+
+
 def yielded_rows(p):
     """`_tail_rows`'s tally, built from the yield walk and `classify_raw`."""
     rows = Counter()
@@ -284,7 +305,7 @@ def test_a_fold_of_as_many_levels_as_the_nesting_cap_is_chained(monkeypatch, p, 
 
     def outcomes():
         runs = []
-        for kind in ("tally", "maximal", "records"):
+        for kind in FOLDS:
             for budget in (None, 1, 10, 50, 100, 500):
                 dfs = BasisDFS(p, total, constrained=p - 1, node_budget=budget)
                 try:
@@ -297,7 +318,7 @@ def test_a_fold_of_as_many_levels_as_the_nesting_cap_is_chained(monkeypatch, p, 
     monkeypatch.setattr(search, "_KERNELS", {})
     monkeypatch.setattr(search, "_NESTING", total - 1)
     assert outcomes() == single
-    for kind in ("tally", "maximal", "records"):
+    for kind in FOLDS:
         assert search._KERNELS[p, total, p - 1, 1, kind].__globals__["inner"] is (
             search._KERNELS[p, total, p - 1, total - 1, kind])
     assert search._kernel(p, total, p - 1, 1).__globals__["inner"] is None
@@ -351,7 +372,10 @@ def test_a_fold_restored_at_a_leaf_gathers_like_the_yield_walk(p, extra):
                                     "extensible": ext, "symmetricisable": sym},
                                    separators=(",", ":")) + "\n" for elems, ext, sym in rows],
                        [sum(ext + sym == e for _, ext, sym in rows) for e in range(3)]]
-            for kind, expected in (("maximal", best), ("tally", tally), ("records", records)):
+            over = [brute_range(elems) - (elems[-1] + p - 1) for elems, _, _ in rows]
+            ranges = [sum(d < 0 for d in over), sum(d == 0 for d in over), sum(d > 0 for d in over)]
+            for kind, expected in (("maximal", best), ("tally", tally), ("records", records),
+                                   ("range", ranges)):
                 folded = walk()
                 got = folded.fold(kind)
                 if kind == "tally":
@@ -389,7 +413,7 @@ def test_every_walk_counts_every_node(monkeypatch, p, extra, nesting):
     nodes = oracle_node_count(p, total)
     monkeypatch.setattr(search, "_KERNELS", {})
     monkeypatch.setattr(search, "_NESTING", nesting)
-    for kind in (None, "tally", "maximal", "records"):
+    for kind in (None, *FOLDS):
         for budget in (None, nodes):
             dfs = BasisDFS(p, total, constrained=p - 1, node_budget=budget)
             list(dfs) if kind is None else dfs.fold(kind)
@@ -424,6 +448,28 @@ def test_classify_raw_matches_the_reference_procedures(p, extra):
             assert symmetricisable == is_symmetricisable_plus(basis, p).symmetricisable, elems
         else:
             assert symmetricisable == closure_profile(basis, p).symmetricisable, elems
+
+
+@pytest.mark.parametrize("p", range(5, 11))
+def test_live_leaves_are_the_extensible_ones(p):
+    liveness = node_liveness(p)
+    assert list(liveness) == search_nodes(p, p - 1, p - 1)
+    live_leaves = [node for node, live in liveness.items() if live and len(node) == p - 1]
+    assert live_leaves == [elems for elems, ext, _ in classified_leaves(p) if ext]
+    for node, live in liveness.items():  # a node is live exactly when a child is
+        children = [child for child in liveness if child[:-1] == node]
+        assert not children or live == any(liveness[child] for child in children), node
+
+
+def test_the_liveness_oracle_at_p14():
+    # what a study of prefix cuts starts from: 90.1% of the nodes are dead, and a cut at
+    # every dead root, exact, would visit 9,641 nodes
+    liveness = node_liveness(14)
+    live = sum(liveness.values())
+    assert (len(liveness), live) == (41822, 4149)
+    roots = dead_roots(liveness)
+    assert roots == {5: 4, 6: 70, 7: 213, 8: 677, 9: 1244, 10: 1358, 11: 1081, 12: 660, 13: 185}
+    assert live + sum(roots.values()) == 9641
 
 
 def test_constrained_levels_need_free_residues():
