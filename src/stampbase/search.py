@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import chain
 
@@ -48,6 +48,18 @@ class BudgetExceededError(RuntimeError):
     def __reduce__(self):
         # the default rebuilds from the message alone, which __init__ cannot take
         return type(self), (self.visited, self.budget)
+
+
+# the end of a record line by extensible + symmetricisable (0, 1 or 2), with and without
+# the classification
+_ENDS = {
+    True: (
+        ',"extensible":false,"symmetricisable":false}\n',
+        ',"extensible":true,"symmetricisable":false}\n',
+        ',"extensible":true,"symmetricisable":true}\n',
+    ),
+    False: ("}\n",) * 3,
+}
 
 
 class BasisDFS:
@@ -74,11 +86,11 @@ class BasisDFS:
     counts that leaf again; h then runs up to the parent's depth.
 
     `fold(kind)` runs the walk instead in kernels that gather each leaf into
-    one list rather than yield it (see `_kernel_source`), so a walk comes in
-    five kinds: the yield walk and the "tally", "maximal", "records" and
-    "range" folds.  Only the "records" fold keeps its frontier, at each of
-    its pauses; after a trip no fold resumes from `state()`, but a records
-    run resumes from its last pause.
+    one list rather than yield it; `_KINDS` holds the yield walk (None) and
+    the "tally", "maximal", "records" and "range" folds.  A walk runs once,
+    as one fold or one iteration.  Only a "records" fold keeps its frontier,
+    at each pause; after a trip no fold resumes from `state()`, but a
+    records run resumes from its last pause.
     """
 
     def __init__(
@@ -105,9 +117,8 @@ class BasisDFS:
         self.constrained = constrained
         self.min_height = min_height
         self.node_budget = node_budget
-        self.leaf_cov = self.leaf_mask = self._fold = self._tally = self._pause = None
-        # the records fold's line endings, and the node count of its next pause
-        self._ends, self._due = _ENDS[True], sys.maxsize
+        self.leaf_cov = self.leaf_mask = self._kind = None
+        self._ran = False  # set when the walk starts, as a fold or an iteration
         if state is None:
             state = {"prefix": [1], "cursors": [2], "visited": 1}
         prefix, cursor = self._restore(state)
@@ -192,23 +203,20 @@ class BasisDFS:
     def __next__(self) -> tuple[int, ...]:
         return next(self._walker)
 
-    def fold(self, kind: str) -> list:
+    def fold(self, kind: str, ends=_ENDS[True], due=sys.maxsize, pause=None) -> list:
         """Run the whole walk in the kernels of the fold `kind`, and return the list they fill.
 
-        The "tally" fold counts each leaf at index 3 * top + extensible +
-        symmetricisable; k elements generate at most k(k + 3)/2 values, so
-        no leaf's top is above that for k = total - 1, plus one.  The
-        "maximal" fold keeps the symmetricisable leaves with the largest
-        top, in walk order.  The "records" fold returns its JSONL lines, each
-        ending in `_ends[extensible + symmetricisable]`, and their count by
-        that sum; at the first leaf where `visited` reaches `_due` it sets
-        the frontier there and calls `_pause()`, which returns the next due.
-        The "range" fold counts the leaves with range below, at and above top + p - 1.
+        The list is the one `_KINDS[kind]` makes, and holds what that entry
+        says.  The "records" fold ends each line in `ends[extensible +
+        symmetricisable]`; at the first leaf where `visited` reaches `due`
+        it sets the frontier there and calls `pause()`, which returns the
+        next due.  A walk that has already run, as a fold or by yielding a
+        leaf, is refused: its kernels would start where the last run ended.
         """
-        k = self.total - 1
-        self._fold = kind
-        self._tally = {"tally": [0] * (3 * (k * (k + 3) // 2 + 2)), "records": [[], [0, 0, 0]],
-                       "range": [0, 0, 0], "maximal": []}[kind]
+        if self._ran:
+            raise PreconditionError("this walk has already run; build a new BasisDFS")
+        self._kind, self._ends, self._due, self._pause = kind, ends, due, pause
+        self._tally = _KINDS[kind].new(_tops(self.total))
         next(self._walker, None)  # a fold's kernels yield nothing, so this runs them all
         return self._tally
 
@@ -228,14 +236,15 @@ class BasisDFS:
         Each kernel is built when the one before it has ended, so it starts
         from the `visited` that one left.
         """
-        p, fold = self.p, self._fold
+        self._ran = True
+        p, kind = self.p, self._kind
         cap = sys.maxsize if self.node_budget is None else self.node_budget  # no walk gets that far
         for root in range(len(prefix), self.min_height - 1, -1):
             cov, mask, limit, free = _frame(prefix[:root], p)  # a kernel holds n + 2, free doubled
-            walk = _kernel(p, self.total, self.constrained, root, fold)(
+            walk = _kernel(p, self.total, self.constrained, root, kind)(
                 self, self.visited, cap, cursor, *prefix[1:root], cov, mask, limit + 1,
                 free | free << p)
-            if fold is None:  # a fold's kernel has run to its end by now, and yields no leaf
+            if kind is None:  # a fold's kernel has run to its end by now, and yields no leaf
                 yield walk
             if self._at:  # the budget stopped that kernel, and state() resumes it
                 return
@@ -247,7 +256,7 @@ _NESTING = 20
 _KERNELS: dict = {}
 
 
-def _kernel(p: int, total: int, constrained: int, root: int, fold: str | None = None):
+def _kernel(p: int, total: int, constrained: int, root: int, kind: str | None = None):
     """The generated DFS below a node of `root` elements, compiled once per shape and process.
 
     It has one nested loop per level, and keeps the coverage, element
@@ -260,24 +269,20 @@ def _kernel(p: int, total: int, constrained: int, root: int, fold: str | None = 
     a call in a fold's kernel, which is a plain function.  A classifying
     leaf test nests one loop more, so every fold counts one more level.
     """
-    key = (p, total, constrained, root, fold)
+    key = (p, total, constrained, root, kind)
     if key not in _KERNELS:
-        inner = min(root + _NESTING, total - 1) if total - root + bool(fold) > _NESTING else None
-        namespace = {"inner": _kernel(p, total, constrained, inner, fold) if inner else None,
-                     "search": sys.modules[__name__]}
-        if fold == "records":  # the text of every element up to the largest, as in `fold`
-            k, shift = total - 1, p if constrained < total else 0
-            elements = range(k * (k + 3) // 2 + 2)
-            namespace["digits"] = tuple(f"{a}," for a in elements)
-            namespace["tails"] = tuple(f'{a}],"tail":{a - shift}' for a in elements)
-        source = _kernel_source(p, total, constrained, root, inner, fold)
+        inner = min(root + _NESTING, total - 1) if total - root + bool(kind) > _NESTING else None
+        namespace = {"inner": _kernel(p, total, constrained, inner, kind) if inner else None,
+                     "search": sys.modules[__name__],
+                     **_KINDS[kind].names(range(_tops(total)), p if constrained < total else 0)}
+        source = _kernel_source(p, total, constrained, root, inner, kind)
         exec(compile(source, f"<kernel {key}>", "exec"), namespace)
         _KERNELS[key] = namespace["walk"]
     return _KERNELS[key]
 
 
 def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int | None,
-                   fold: str | None = None) -> str:
+                   kind: str | None = None) -> str:
     """Source of `walk(dfs, visited, cap, start, c1, ..., c<root - 1>, root's frame)`.
 
     The walk returns `visited`.  A node c sets its element mask first and
@@ -286,34 +291,24 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
     length of the lowest run of ones in v, and a candidate c >= l ends the
     level.  Leaves step by 1 on a free level and by p where one residue is
     left; otherwise they are picked like inner nodes.
-    The yield walk (`fold` None) yields each leaf; the "tally", "maximal"
-    and "records" folds classify it in place, as `classify_raw` does:
-    the bound on b_0, then the window test, then `symmetricisable_raw`,
-    looked up through this module when it is called.  The "tally" fold
-    counts every leaf into `dfs._tally`; the "maximal" fold keeps
-    there the symmetricisable leaves with the largest top, its floor, and
-    counts each run of leaves below the floor in one step.  The "records"
-    fold formats each leaf's JSONL line with one f-string over the level
-    locals, which looks up the text of each element in `digits` (comma
-    included) and of the leaf with the tail in `tails`; it counts the line
-    and pauses as `BasisDFS.fold` describes.  The "range" fold counts the
-    leaf's range, read off its coverage, against the yardstick c + p - 1.
+    The entry `_KINDS[kind]` gives the rest: the head of a kernel that
+    walks the leaves, and the code of a leaf after its test c < l, from
+    these names: `p`, `step`, the leaf's element `c` and parent level `q`,
+    its tuple `at`, the budget check `trip` and `count`, which counts the
+    node first, and the classification as `classify_raw` does it: `test`,
+    the bound on b_0 and then the window test, with `sym`,
+    `symmetricisable_raw` looked up through this module when it is called,
+    to run under its last line.
     """
     leaf = total - 1  # the index of a leaf's last element
     step = 1 if constrained <= leaf else p if total == p - 1 else 0
-    free = f"f{root - 1}"
+    free, entry = f"f{root - 1}", _KINDS[kind]
 
     def upto(k):  # "c1, ..., ck, ", for a tuple display or an argument list
         return "".join(f"c{i}, " for i in range(1, k + 1))
 
     lines = [f"def walk(dfs, visited, cap, c{root}, {upto(root - 1)}v{root - 1}, m{root - 1}, "
-             f"l{root - 1}, {free}):"]
-    if inner is None and fold in ("tally", "range"):
-        lines.append("    tally = dfs._tally")
-    elif inner is None and fold == "records":
-        lines += ["    out, tally = dfs._tally", "    ends, due = dfs._ends, dfs._due"]
-    elif inner is None and fold:  # each call starts from the best top found so far
-        lines += ["    best = dfs._tally", "    floor = best[0][-1] if best else 0"]
+             f"l{root - 1}, {free}):", *(f"    {text}" for text in entry.head if inner is None)]
 
     def emit(depth, *texts):
         lines.extend("    " * depth + text for text in texts)
@@ -321,9 +316,8 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
     def jump(depth, c):  # the next candidate from c on whose residue is still free
         emit(depth, f"a = {free} >> {c} % {p}", f"{c} += (a & -a).bit_length() - 1")
 
-    def trip(depth, k):
-        emit(depth, "if visited > cap:",
-             f"    raise dfs._trip(visited, (1, {upto(k)}))")
+    def trip(k):
+        return ["if visited > cap:", f"    raise dfs._trip(visited, (1, {upto(k)}))"]
 
     depth = 1
     for k in range(root, leaf if inner is None else inner):
@@ -337,62 +331,86 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
         if k < constrained:
             emit(depth, f"f{k} = {free} ^ ({1 | 1 << p} << c{k} % {p})")
             free = f"f{k}"
-        trip(depth, k)
+        emit(depth, *trip(k))
         if k + 1 == inner:
-            emit(depth, f"visited = {'' if fold else 'yield from '}inner(dfs, visited, cap, "
+            emit(depth, f"visited = {'' if kind else 'yield from '}inner(dfs, visited, cap, "
                         f"c{k} + 1, {upto(k)}v{k}, m{k}, l{k}, {free})")
         else:
             emit(depth, f"c{k + 1} = c{k} + 1")
     if inner is None:  # the leaves, from c<leaf> on
-        c, q = f"c{leaf}", leaf - 1
+        c, q, at = f"c{leaf}", leaf - 1, f"(1, {upto(leaf)})"
         if step == p:  # the last free residue r, whose top copy is bit r + p
             emit(depth, f"{c} += ({free}.bit_length() - 1 - {c}) % {p}")
         emit(depth, "while True:")
         if not step:
             jump(depth + 1, c)
         emit(depth + 1, f"if {c} >= l{q}:", "    break")
-        if fold == "maximal":  # count the leaves below the floor at once
-            emit(depth + 1, f"if {c} < floor:", f"    n = (floor if floor < l{q} else l{q}) - {c}")
-            if step == 1:
-                emit(depth + 2, "visited += n", f"{c} += n")
-            else:
-                emit(depth + 2, f"n = (n + {p - 1}) // {p}", "visited += n", f"{c} += n * {p}")
-            trip(depth + 2, q)
-            emit(depth + 2, "continue")
-        emit(depth + 1, "visited += 1")
-        trip(depth + 1, q)
-        if fold is None:
-            emit(depth + 1, "dfs.visited = visited", f"dfs.leaf_mask = m = m{q} | 1 << {c}",
-                 f"dfs.leaf_cov = v{q} | m << {c}",
-                 f"dfs._at = t = (1, {upto(leaf)})",
-                 "yield t")
-        elif fold == "range":  # d = n - (c + p - 1), as n + 2 is the bit length of w's lowest run
-            emit(depth + 1, f"w = v{q} | (m{q} | 1 << {c}) << {c}",
-                 f"d = (w ^ (w + 1)).bit_length() - {c} - {p + 1}",
-                 "tally[(d >= 0) + (d > 0)] += 1")
-        else:  # the bound is b_0 <= e + p // 2 on a p-basis and b_0 <= e + p on a p+-basis
-            sym = f"search.symmetricisable_raw((1, {upto(leaf)}), m{q} | 1 << {c}, {p})"
-            test = [f"if {c} <= {f'c{q}' if q else 1} + {p // 2 if step == p else p}:",
-                    f"    s, w = m{q}, {p}", f"    while w < {c}:", "        s |= s << w",
-                    "        w <<= 1", f"    w = (1 << ({c} - 1) // {p} * {p} + 1) - 2",
-                    f"    if ((v{q} >> {c}) | s) & w == w:"]
-            if fold == "tally":  # e = extensible + symmetricisable, as in classify_raw
-                emit(depth + 1, "e = 0", *test, f"        e = 1 + {sym}", f"tally[3 * {c} + e] += 1")
-            elif fold == "records":  # the line json.dumps gives, then a pause when one is due
-                basis = "".join(f"{{digits[c{i}]}}" for i in range(1, leaf))
-                line = f'{{{{"p":{p},"basis":[1,{basis}{{tails[{c}]}}{{ends[e]}}'
-                emit(depth + 1, "e = 0", *test, f"        e = 1 + {sym}", f"out.append(f'{line}')",
-                     "tally[e] += 1", "if visited >= due:", "    dfs.visited = visited",
-                     f"    dfs._at = (1, {upto(leaf)})", "    due = dfs._due = dfs._pause()")
-            else:  # a new best top drops the ties kept so far
-                emit(depth + 1, *test, f"        if {sym}:", f"            if {c} > floor:",
-                     f"                floor = {c}", "                best.clear()",
-                     f"            best.append((1, {upto(leaf)}))")
+        # the bound is b_0 <= e + p // 2 on a p-basis and b_0 <= e + p on a p+-basis
+        test = [f"if {c} <= {f'c{q}' if q else 1} + {p // 2 if step == p else p}:",
+                f"    s, w = m{q}, {p}", f"    while w < {c}:", "        s |= s << w",
+                "        w <<= 1", f"    w = (1 << ({c} - 1) // {p} * {p} + 1) - 2",
+                f"    if ((v{q} >> {c}) | s) & w == w:"]
+        emit(depth + 1, *entry.leaf(
+            p=p, step=step, c=c, q=q, at=at, trip=trip(q), count=["visited += 1", *trip(q)],
+            test=test, sym=f"search.symmetricisable_raw({at}, m{q} | 1 << {c}, {p})"))
         emit(depth + 1, f"{c} += {step or 1}")
     for k in range(depth - 1, 0, -1):
         emit(k + 1, f"c{root + k - 1} += 1")
     emit(1, "dfs.visited = visited", "dfs._at = ()", "return visited")
     return "\n".join(lines) + "\n"
+
+
+def _tops(total: int) -> int:
+    """One more than any leaf's top: k = total - 1 elements generate at most k(k + 3)/2 values."""
+    return (total - 1) * (total + 2) // 2 + 2
+
+
+def _maximal_leaf(p, step, c, q, at, trip, count, test, sym) -> list:
+    skip = ("visited += n", f"{c} += n") if step == 1 else (  # the leaves below the floor
+        f"n = (n + {p - 1}) // {p}", "visited += n", f"{c} += n * {p}")
+    return [f"if {c} < floor:", f"    n = (floor if floor < l{q} else l{q}) - {c}",
+            *(f"    {text}" for text in (*skip, *trip, "continue")), *count, *test,
+            f"        if {sym}:", f"            if {c} > floor:", f"                floor = {c}",
+            "                best.clear()", f"            best.append({at})"]
+
+
+def _records_leaf(p, c, q, at, count, test, sym, **_) -> list:
+    basis = "".join(f"{{digits[c{i}]}}" for i in range(1, q + 1))
+    line = f'{{{{"p":{p},"basis":[1,{basis}{{tails[{c}]}}{{ends[e]}}'
+    return [*count, "e = 0", *test, f"        e = 1 + {sym}", f"out.append(f'{line}')",
+            "tally[e] += 1", "if visited >= due:", "    dfs.visited = visited",
+            f"    dfs._at = {at}", "    due = dfs._due = dfs._pause()"]
+
+
+# A walk kind: `new(_tops(total))` makes the list its fold fills, `head` opens a kernel that
+# walks the leaves, `leaf` gives a leaf's code from the names `_kernel_source` passes, and
+# `names(elements, tail shift)` adds globals to the kind's kernels
+_Kind = namedtuple("_Kind", "new head leaf names", defaults=(lambda elements, shift: {},))
+_KINDS = {
+    # yields each leaf, with its coverage and element mask
+    None: _Kind(None, (), lambda c, q, at, count, **_: [
+        *count, "dfs.visited = visited", f"dfs.leaf_mask = m = m{q} | 1 << {c}",
+        f"dfs.leaf_cov = v{q} | m << {c}", f"dfs._at = t = {at}", "yield t"]),
+    # counts each leaf at 3 * top + e, e = extensible + symmetricisable as in classify_raw
+    "tally": _Kind(lambda tops: [0] * (3 * tops), ("tally = dfs._tally",),
+                   lambda c, count, test, sym, **_: [
+        *count, "e = 0", *test, f"        e = 1 + {sym}", f"tally[3 * {c} + e] += 1"]),
+    # keeps the symmetricisable leaves with the largest top, in walk order; each kernel
+    # starts from the best top found so far, its floor, and counts a run below it at once
+    "maximal": _Kind(lambda tops: [], ("best = dfs._tally", "floor = best[0][-1] if best else 0"),
+                     _maximal_leaf),
+    # the JSONL lines json.dumps gives, each ending in `ends[e]`, and their count by e; the
+    # line takes the text of each element, comma included, and of the top with its tail
+    "records": _Kind(lambda tops: [[], [0, 0, 0]],
+                     ("out, tally = dfs._tally", "ends, due = dfs._ends, dfs._due"), _records_leaf,
+                     lambda elements, shift: {"digits": tuple(f"{a}," for a in elements),
+                         "tails": tuple(f'{a}],"tail":{a - shift}' for a in elements)}),
+    # counts the leaves with range below, at and above top + p - 1: d = n - (c + p - 1), as
+    # n + 2 is the bit length of the lowest run of ones in the leaf's coverage w
+    "range": _Kind(lambda tops: [0, 0, 0], ("tally = dfs._tally",), lambda p, c, q, count, **_: [
+        *count, f"w = v{q} | (m{q} | 1 << {c}) << {c}",
+        f"d = (w ^ (w + 1)).bit_length() - {c} - {p + 1}", "tally[(d >= 0) + (d > 0)] += 1"]),
+}
 
 
 def _frame(prefix: list[int], p: int) -> tuple[int, int, int, int]:
@@ -672,18 +690,6 @@ def load_checkpoint(path: str, p: int, mode: str, classify_records: bool) -> tup
     return {k: state[k] for k in ("p", "prefix", "cursors", "visited")}, counts
 
 
-# the end of a record line by extensible + symmetricisable (0, 1 or 2), with and without
-# the classification
-_ENDS = {
-    True: (
-        ',"extensible":false,"symmetricisable":false}\n',
-        ',"extensible":true,"symmetricisable":false}\n',
-        ',"extensible":true,"symmetricisable":true}\n',
-    ),
-    False: ("}\n",) * 3,
-}
-
-
 def _take_records(records: list, counts: dict, classify_records: bool) -> str:
     """The pending lines of a records fold as one string; their counts move into `counts`.
 
@@ -705,8 +711,8 @@ def _take_records(records: list, counts: dict, classify_records: bool) -> str:
 def _records_subtree(dfs: BasisDFS, p: int, classify_records: bool):
     """(records as one string, counts) of one subtree, for the parallel emitter."""
     counts = dict.fromkeys(_COUNT_KEYS, 0)
-    dfs._ends = _ENDS[classify_records]
-    return _take_records(dfs.fold("records"), counts, classify_records), counts
+    records = dfs.fold("records", _ENDS[classify_records])
+    return _take_records(records, counts, classify_records), counts
 
 
 def run_enumeration(
@@ -775,10 +781,8 @@ def run_enumeration(
                 save_checkpoint(checkpoint_path, frontier)
             return dfs.visited + checkpoint_every
 
-        dfs._ends, dfs._pause = _ENDS[classify_records], pause
-        dfs._due = dfs.visited + checkpoint_every
         try:
-            dfs.fold("records")
+            dfs.fold("records", _ENDS[classify_records], dfs.visited + checkpoint_every, pause)
         finally:
             drain()  # after a budget trip too, so the file holds every leaf before it
         # a finished run needs no recovery point, and a stale one would

@@ -262,6 +262,37 @@ def test_the_range_source_is_pinned(shape):
     assert hashlib.sha256(source).hexdigest() == RANGE_SOURCES[shape]
 
 
+# sha256 over the source of every kernel a search at p = 3..30 builds: both modes, roots 1..4,
+# each kind, each chained inner kernel, and the yield walks of the subtree splits
+ALL_SOURCES = "84ee23352b710d975889f41625a57c55ce0fd7f22cbb24d237cfff45b0f2279c"
+
+
+def test_every_kernel_source_is_pinned():
+    digest, shapes = hashlib.sha256(), []
+
+    def add(p, total, constrained, root, kind):
+        if (p, total, constrained, root, kind) in shapes:
+            return
+        shapes.append((p, total, constrained, root, kind))
+        inner = (min(root + search._NESTING, total - 1)
+                 if total - root + (kind is not None) > search._NESTING else None)
+        digest.update(f"{(p, total, constrained, root, inner, kind)}\n".encode())
+        digest.update(search._kernel_source(p, total, constrained, root, inner, kind).encode())
+        if inner:
+            add(p, total, constrained, inner, kind)
+
+    for p in range(3, 31):
+        for total in (p - 1, p):
+            for root in range(1, 5):
+                root = max(1, min(root, total - 1))
+                for kind in (None, *FOLDS):
+                    add(p, total, p - 1, root, kind)
+                if root > 1:
+                    add(p, root, root, 1, None)
+    assert len(shapes) == 1441
+    assert digest.hexdigest() == ALL_SOURCES
+
+
 def yielded_rows(p):
     """`_tail_rows`'s tally, built from the yield walk and `classify_raw`."""
     rows = Counter()
@@ -628,6 +659,32 @@ def test_a_tripped_walk_is_over(extra):
                 assert list(dfs) == []
                 trips += 1
     assert trips > 0
+
+
+def test_a_walk_runs_once():
+    # a walk that has run would start its kernels where that run ended, and fold nothing
+    dfs = BasisDFS(9, 8)
+    assert sum(dfs.fold("range")) == 28
+    for kind in FOLDS:
+        with pytest.raises(PreconditionError, match="already run"):
+            dfs.fold(kind)
+    dfs = BasisDFS(9, 8)
+    first = next(dfs)
+    saved = dfs.state()
+    with pytest.raises(PreconditionError, match="already run"):
+        dfs.fold("tally")
+    assert (dfs.state(), next(dfs) > first) == (saved, True)  # the refusal changed nothing
+    assert sum(BasisDFS(9, 8, state=saved).fold("range")) == 27
+    dfs = BasisDFS(9, 8, node_budget=20)
+    with pytest.raises(BudgetExceededError):
+        dfs.fold("tally")
+    with pytest.raises(PreconditionError, match="already run"):
+        dfs.fold("tally")
+
+
+def test_the_kinds_table_lists_every_fold():
+    # so a new kind joins the node-count, nesting-cap, restored-leaf and shape-compile tests
+    assert set(search._KINDS) == {None, *FOLDS}
 
 
 def test_budget_abort_reports_node_counts():
