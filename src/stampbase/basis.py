@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 
 class BasisError(ValueError):
-    """Structurally invalid basis: unsorted, duplicated, or not starting at 1."""
+    """Structurally invalid basis: non-integer, unsorted, duplicated, or not starting at 1."""
 
 
 class PreconditionError(ValueError):
@@ -56,7 +56,10 @@ def range_from_coverage(cov: int) -> int:
 
 
 def _validated(elements) -> tuple[int, ...]:
-    elems = tuple(int(a) for a in elements)
+    elems = tuple(elements)
+    for a in elems:  # int() would round 2.5 down and read "3" as 3
+        if type(a) is not int:
+            raise BasisError(f"elements must be integers, got {a!r}")
     if not elems:
         raise BasisError("basis needs at least one element")
     if elems[0] != 1:
@@ -109,7 +112,7 @@ class Basis:
     def from_json(cls, src) -> "Basis":
         """Accept either a JSON string or an already-decoded object."""
         obj = json.loads(src) if isinstance(src, (str, bytes)) else src
-        if not isinstance(obj, dict) or "elements" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("elements"), list):
             raise BasisError("basis JSON must be an object with an 'elements' array")
         return cls(tuple(obj["elements"]))
 

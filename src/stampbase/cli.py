@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("p", type=int)
     p_enum.add_argument("--mode", choices=("plain", "plus"), default="plain")
     p_enum.add_argument("--classify", action="store_true",
-                        help="attach extensible/symmetricisable flags")
+                        help="attach extensible/symmetricisable flags (always on in plus mode)")
     p_enum.add_argument("--out", help="record file (default: stdout)")
     p_enum.add_argument("--checkpoint", help="checkpoint file for resumable runs")
     p_enum.add_argument("--resume", action="store_true",
@@ -309,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
                           dest="k_max")
     p_tables.add_argument("--format", choices=("csv", "wide"), default="csv")
     p_tables.add_argument("--out")
-    p_tables.add_argument("--threads", type=_positive_int, default=1)
+    p_tables.add_argument("--threads", type=_positive_int, default=1,
+                          help="worker processes for table 3; the other tables ignore it")
     p_tables.add_argument("--node-budget", type=_non_negative_int, default=None,
                           dest="node_budget")
     p_tables.set_defaults(func=cmd_tables)

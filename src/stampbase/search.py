@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 
@@ -443,21 +443,21 @@ def _subtree_dfs(p, total, constrained, prefix) -> BasisDFS:
 
 
 def _subtree_fold(args):
-    """Pool worker: `fold(dfs, p, *rest)` on the subtree below one prefix."""
-    fold, p, total, prefix, *rest = args
-    return fold(_subtree_dfs(p, total, p - 1, prefix), p, *rest)
+    """Pool worker: the list of `fold(kind, *rest)` on the subtree below one prefix."""
+    kind, p, total, prefix, *rest = args
+    return _subtree_dfs(p, total, p - 1, prefix).fold(kind, *rest)
 
 
-def _pooled(fold, p: int, total: int, threads: int, *rest):
-    """`fold(dfs, p, *rest)` on each subtree of the search, run by `threads` workers.
+def _pooled(kind: str, p: int, total: int, threads: int, *rest):
+    """The list of `fold(kind, *rest)` on each subtree of the search, run by `threads` workers.
 
-    The results come in the lexicographic order of the subtrees.
+    The lists come in the lexicographic order of the subtrees.
     """
     import multiprocessing  # its only use, so importing the package stays cheap
 
     prefixes = subtree_prefixes(p, total, p - 1, max(1, min(4, p - 2)))
     with multiprocessing.Pool(threads) as pool:
-        yield from pool.imap(_subtree_fold, [(fold, p, total, pre, *rest) for pre in prefixes])
+        yield from pool.imap(_subtree_fold, [(kind, p, total, pre, *rest) for pre in prefixes])
 
 
 def classify_raw(elems: tuple[int, ...], cov: int, mask: int, p: int):
@@ -537,28 +537,24 @@ class ClassStats:
         return 100.0 * self.n_s / self.n_e if self.n_e else 0.0
 
 
-def _tail_rows(dfs: BasisDFS, p: int) -> Counter:
-    """Leaves of a walk of p-bases per key 3 * tail + extensible + symmetricisable.
+def _tail_counts(p: int, threads: int = 1, node_budget: int | None = None) -> list:
+    """The "tally" fold over all p-bases: one walk, or the sum of one per subtree.
 
-    A symmetricisable basis is always extensible, so key % 3 is 0 for
+    It counts each p-basis at 3 * tail + extensible + symmetricisable; a
+    symmetricisable basis is always extensible, so index % 3 is 0 for
     neither, 1 for extensible only and 2 for both.
     """
-    return Counter({key: n for key, n in enumerate(dfs.fold("tally")) if n})
-
-
-def _tail_counts(p: int, threads: int = 1, node_budget: int | None = None) -> Counter:
-    """`_tail_rows` over all p-bases: one walk, or one pooled walk per subtree."""
     _reject_budget_with_threads(threads, node_budget)
     if threads <= 1:
-        return _tail_rows(BasisDFS(p, p - 1, node_budget=node_budget), p)
-    return sum(_pooled(_tail_rows, p, p - 1, threads), Counter())
+        return BasisDFS(p, p - 1, node_budget=node_budget).fold("tally")
+    return [sum(column) for column in zip(*_pooled("tally", p, p - 1, threads))]
 
 
-def _class_counts(rows: Counter, tails) -> tuple[int, int, int]:
-    """(n_p, n_e, n_s) of a `_tail_rows` tally, summed over `tails`."""
-    n_s = sum(rows[3 * t + 2] for t in tails)
-    n_e = n_s + sum(rows[3 * t + 1] for t in tails)
-    return n_e + sum(rows[3 * t] for t in tails), n_e, n_s
+def _class_counts(rows: list) -> tuple[int, int, int]:
+    """(n_p, n_e, n_s) of a `_tail_counts` tally, or of a slice of it from a multiple of 3."""
+    n_s = sum(rows[2::3])
+    n_e = n_s + sum(rows[1::3])
+    return n_e + sum(rows[0::3]), n_e, n_s
 
 
 def _reject_budget_with_threads(threads: int, node_budget: int | None) -> None:
@@ -569,9 +565,7 @@ def _reject_budget_with_threads(threads: int, node_budget: int | None) -> None:
 
 def classify(p: int, threads: int = 1, node_budget: int | None = None) -> ClassStats:
     """Counts (n_p, n_e, n_s) of all / extensible / symmetricisable p-bases."""
-    rows = _tail_counts(p, threads, node_budget)
-    n_p, n_e, n_s = _class_counts(rows, {key // 3 for key in rows})
-    return ClassStats(p=p, n_p=n_p, n_e=n_e, n_s=n_s)
+    return ClassStats(p, *_class_counts(_tail_counts(p, threads, node_budget)))
 
 
 @dataclass(frozen=True)
@@ -603,8 +597,8 @@ class TailDistribution:
 def tail_distribution(p: int, node_budget: int | None = None) -> TailDistribution:
     counts = _tail_counts(p, node_budget=node_budget)
     rows = tuple(
-        (tail, *_class_counts(counts, (tail,)))
-        for tail in range(p - 1, max(counts) // 3 + 1)
+        (tail, *_class_counts(counts[3 * tail:3 * tail + 3]))
+        for tail in range(p - 1, max(i for i, n in enumerate(counts) if n) // 3 + 1)
     )
     return TailDistribution(p=p, rows=rows)
 
@@ -628,14 +622,12 @@ class MaximaRecord:
 
 def maxima_record(p: int, node_budget: int | None = None) -> MaximaRecord:
     rows = _tail_counts(p, node_budget=node_budget)
-    v2 = max((key // 3 for key in rows if key % 3), default=0)
-    return MaximaRecord(p=p, v1=max(rows, default=0) // 3, v2=v2)
+    v1 = max((i for i, n in enumerate(rows) if n), default=0) // 3
+    v2 = max((i // 3 for i, n in enumerate(rows) if n and i % 3), default=0)
+    return MaximaRecord(p=p, v1=v1, v2=v2)
 
 
 # --- streaming enumeration with checkpoints -------------------------------
-
-_COUNT_KEYS = ("count", "n_e", "n_s")
-
 
 def save_checkpoint(path: str, state: dict) -> None:
     """Write-new-then-rename, with an fsync, so a crash never leaves a torn checkpoint.
@@ -708,13 +700,6 @@ def _take_records(records: list, counts: dict, classify_records: bool) -> str:
     return text
 
 
-def _records_subtree(dfs: BasisDFS, p: int, classify_records: bool):
-    """(records as one string, counts) of one subtree, for the parallel emitter."""
-    counts = dict.fromkeys(_COUNT_KEYS, 0)
-    records = dfs.fold("records", _ENDS[classify_records])
-    return _take_records(records, counts, classify_records), counts
-
-
 def run_enumeration(
     p: int,
     mode: str = "plain",
@@ -754,7 +739,7 @@ def run_enumeration(
         raise PreconditionError("--resume needs a checkpoint file")
     state, counts = (
         load_checkpoint(checkpoint_path, p, mode, classify_records) if resume
-        else (None, dict.fromkeys(_COUNT_KEYS, 0))
+        else (None, {"count": 0, "n_e": 0, "n_s": 0})
     )
     # built before the record file is opened, so a bad p, a corrupt frontier, or one already
     # over the budget, leaves it as it was; a pooled run checks p here and walks the subtrees
@@ -763,10 +748,8 @@ def run_enumeration(
     def emit_records(sink):
         """Write the records, flushing only before each checkpoint and at the end."""
         if threads > 1:
-            for text, part in _pooled(_records_subtree, p, total, threads, classify_records):
-                sink.write(text)
-                for key in _COUNT_KEYS:
-                    counts[key] += part[key]
+            for records in _pooled("records", p, total, threads, _ENDS[classify_records]):
+                sink.write(_take_records(records, counts, classify_records))
             return
 
         def drain():

@@ -60,12 +60,17 @@ def test_range_matches_brute_force(elements):
     assert basis_range(Basis(elements)).n == brute_range(elements)
 
 
+# a string goes through from_json; an element that is no int is an error, never rounded or
+# parsed into one
 @pytest.mark.parametrize(
-    "bad", [(), (2, 3), (1, 3, 3), (1, 4, 2), (1, 1)]
+    "bad", [(), (2, 3), (1, 3, 3), (1, 4, 2), (1, 1), (1, 3.99), (1, "3"), (True, 2),
+            '{"elements": [1, 2.5, 4]}', '{"elements": "1234"}', '{"elements": [1, "3"]}',
+            '{"elements": 5}', '{"elements": [1, null]}', '{"elements": [1, 1e400]}',
+            '{"elements": {"1": 3}}']
 )
 def test_invalid_elements_rejected(bad):
     with pytest.raises(BasisError):
-        Basis(bad)
+        Basis.from_json(bad) if isinstance(bad, str) else Basis(bad)
 
 
 def test_parse_and_wire_formats():

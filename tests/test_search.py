@@ -32,7 +32,6 @@ from stampbase.search import (
     tail_distribution,
     _subtree_dfs,
     _tail_counts,
-    _tail_rows,
 )
 from stampbase.symmetric import closure_profile, is_symmetricisable_plus
 
@@ -293,19 +292,23 @@ def test_every_kernel_source_is_pinned():
     assert digest.hexdigest() == ALL_SOURCES
 
 
-def yielded_rows(p):
-    """`_tail_rows`'s tally, built from the yield walk and `classify_raw`."""
-    rows = Counter()
-    for elems, ext, sym in classified_leaves(p):
+def tallied(total, leaves):
+    """The "tally" fold's list of `total`-element leaves (elements, extensible, symmetricisable)."""
+    rows = [0] * (3 * search._tops(total))
+    for elems, ext, sym in leaves:
         rows[3 * elems[-1] + ext + sym] += 1
     return rows
+
+
+def yielded_rows(p):
+    """`_tail_counts`'s tally, built from the yield walk and `classify_raw`."""
+    return tallied(p - 1, classified_leaves(p))
 
 
 @pytest.mark.parametrize("p", range(3, 14))
 def test_the_tally_walk_counts_like_the_yield_walk(p):
     rows = yielded_rows(p)
-    assert _tail_counts(p) == rows
-    assert _tail_counts(p, threads=2) == rows
+    assert _tail_counts(p, threads=2) == _tail_counts(p) == BasisDFS(p, p - 1).fold("tally") == rows
 
 
 @pytest.mark.parametrize("p", range(8, 13))
@@ -323,8 +326,7 @@ def test_a_tally_walk_restored_at_a_leaf_counts_that_leaf():
     leaves = list(classified_leaves(8))
     for i, (elems, _, _) in enumerate(leaves):
         state = {"p": 8, "prefix": list(elems), "cursors": [c + 1 for c in elems[1:]] + [elems[-1] + 1]}
-        rows = Counter(3 * leaf[-1] + ext + sym for leaf, ext, sym in leaves[i:])
-        assert _tail_rows(BasisDFS(8, 7, state=state), 8) == rows
+        assert BasisDFS(8, 7, state=state).fold("tally") == tallied(7, leaves[i:])
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
@@ -398,7 +400,7 @@ def test_a_fold_restored_at_a_leaf_gathers_like_the_yield_walk(p, extra):
                 rows.append((elems, *classify_raw(elems, dfs.leaf_cov, dfs.leaf_mask, p)))
             tops = [elems[-1] for elems, _, sym in rows if sym]
             best = [elems for elems, _, sym in rows if sym and elems[-1] == max(tops, default=0)]
-            tally = Counter(3 * elems[-1] + ext + sym for elems, ext, sym in rows)
+            tally = tallied(total, rows)
             records = [[json.dumps({"p": p, "basis": list(elems), "tail": elems[-1] - p * extra,
                                     "extensible": ext, "symmetricisable": sym},
                                    separators=(",", ":")) + "\n" for elems, ext, sym in rows],
@@ -409,8 +411,6 @@ def test_a_fold_restored_at_a_leaf_gathers_like_the_yield_walk(p, extra):
                                    ("range", ranges)):
                 folded = walk()
                 got = folded.fold(kind)
-                if kind == "tally":
-                    got = Counter({key: n for key, n in enumerate(got) if n})
                 assert (got, folded.visited) == (expected, dfs.visited), (leaf, height, kind)
 
 
