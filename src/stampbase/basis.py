@@ -98,12 +98,15 @@ class Basis:
 
     @classmethod
     def parse(cls, text: str) -> "Basis":
-        """Parse the comma-separated wire format, e.g. "1,3,4,5,8"."""
-        try:
-            elems = [int(part) for part in text.split(",")]
-        except ValueError as exc:
-            raise BasisError(f"unparseable basis text {text!r}") from exc
-        return cls(tuple(elems))
+        """Parse the comma-separated wire format, e.g. "1,3,4,5,8".
+
+        Each part is ASCII digits, with whitespace around them allowed: no
+        sign, underscore or other script's digit, which `int` would take.
+        """
+        parts = [part.strip() for part in text.split(",")]
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise BasisError(f"unparseable basis text {text!r}")
+        return cls(tuple(map(int, parts)))
 
     def to_text(self) -> str:
         return ",".join(str(a) for a in self.elements)

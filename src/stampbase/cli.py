@@ -25,6 +25,7 @@ from .extension import is_extensible, periodic_scan, stohr_sequence
 from .optimize import best_segments, maximal_symmetricisable, range_table
 from .search import (
     BudgetExceededError,
+    _pool,
     classify,
     enumerate_p_bases,
     maxima_record,
@@ -113,13 +114,13 @@ def cmd_enumerate(args) -> int:
 
 
 # A table builder maps its range of p and the parsed `tables` arguments to (header,
-# rows).  It calls search and optimize through this module's globals, which the
-# traced benchmark swaps.
+# rows), and passes --threads and --node-budget to every search.  It calls search and
+# optimize through this module's globals, which the traced benchmark swaps.
 
 def _census(ps, args):
     rows, prev = [], None
     for p in ps:
-        n_p = enumerate_p_bases(p, node_budget=args.node_budget)
+        n_p = enumerate_p_bases(p, node_budget=args.node_budget, threads=args.threads)
         ratio = "" if prev is None else f"{n_p / prev:.2f}"
         rows.append([p, n_p, ratio])
         prev = n_p
@@ -129,7 +130,7 @@ def _census(ps, args):
 def _range_comparison(ps, args):
     rows = []
     for p in ps:
-        st = range_comparison_stats(p, node_budget=args.node_budget)
+        st = range_comparison_stats(p, node_budget=args.node_budget, threads=args.threads)
         total = st.below + st.equal + st.above
         rows.append([
             p,
@@ -154,14 +155,16 @@ def _classification(ps, args):
 def _maximal_sets(mode, ps, args):
     rows = []
     for p in ps:
-        mset = maximal_symmetricisable(p, mode, node_budget=args.node_budget)
+        mset = maximal_symmetricisable(p, mode, node_budget=args.node_budget,
+                                       threads=args.threads)
         for basis in mset.bases:
             rows.append([p, mset.tail, " ".join(map(str, basis.elements))])
     return ["p", "tail", "basis"], rows
 
 
 def _closure_ranges(mode, ps, args):
-    return range_table(list(ps), args.k_max, mode=mode, node_budget=args.node_budget)
+    return range_table(list(ps), args.k_max, mode=mode, node_budget=args.node_budget,
+                       threads=args.threads)
 
 
 def _range_grid(mode, ps, args):
@@ -184,14 +187,15 @@ def _segments(mode, ps, args):
 def _tail_maxima(ps, args):
     rows = []
     for p in ps:
-        rec = maxima_record(p, node_budget=args.node_budget)
+        rec = maxima_record(p, node_budget=args.node_budget, threads=args.threads)
         rows.append([p, rec.v1, rec.v2,
                      f"{rec.ratio_v1:.2f}", f"{rec.ratio_v2:.2f}"])
     return ["p", "v1", "v2", "v1_over_p", "v2_over_v1"], rows
 
 
 def _tail_columns(columns, ps, args):
-    rows, dist = [], tail_distribution(args.p_max, node_budget=args.node_budget)
+    rows, dist = [], tail_distribution(args.p_max, node_budget=args.node_budget,
+                                      threads=args.threads)
     for tail, n_p, n_e, n_s in dist.rows:
         cells = {
             "tail": tail, "n_p": n_p, "n_e": n_e, "n_s": n_s,
@@ -236,7 +240,8 @@ def cmd_tables(args) -> int:
             print(f"error: table {args.which} starts at {name} = {first}; "
                   f"--{name}-max must be >= {first}, got {given}", file=sys.stderr)
             return 2
-    header, rows = builder(range(first_p, args.p_max + 1), args)
+    with _pool(args.threads):  # one pool serves every p
+        header, rows = builder(range(first_p, args.p_max + 1), args)
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     text = buf.getvalue()
@@ -310,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("--format", choices=("csv", "wide"), default="csv")
     p_tables.add_argument("--out")
     p_tables.add_argument("--threads", type=_positive_int, default=1,
-                          help="worker processes for table 3; the other tables ignore it")
+                          help="worker processes for every search the table runs")
     p_tables.add_argument("--node-budget", type=_non_negative_int, default=None,
                           dest="node_budget")
     p_tables.set_defaults(func=cmd_tables)

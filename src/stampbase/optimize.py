@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .basis import Basis, PreconditionError
-from .search import BasisDFS, _mode_levels
+from .search import BasisDFS, _fold, _mode_levels
 from .symmetric import closure_profile
 
 
@@ -39,7 +39,7 @@ class MaximalBasisSet:
 
 
 def maximal_symmetricisable(
-    p: int, mode: str = "plain", node_budget: int | None = None
+    p: int, mode: str = "plain", node_budget: int | None = None, threads: int = 1
 ) -> MaximalBasisSet:
     """Symmetricisable bases with the largest tail, ties included.
 
@@ -48,10 +48,12 @@ def maximal_symmetricisable(
     element can win.  The walk's "maximal" fold classifies the leaves in
     its kernel and keeps the symmetricisable ones with the largest last
     element, in walk order.  That element is the fold's floor: the leaves
-    below it are counted but neither built nor classified.
+    below it are counted but neither built nor classified.  With `threads`
+    above 1 each subtree keeps a floor of its own, and the subtrees that
+    reach the largest top give the ties, in walk order again.
     """
     total, shift = _mode_levels(p, mode)
-    best = BasisDFS(p, total, constrained=p - 1, node_budget=node_budget).fold("maximal")
+    best = _fold(BasisDFS(p, total, constrained=p - 1, node_budget=node_budget), "maximal", threads)
     if not best:
         raise PreconditionError(f"no symmetricisable basis exists for p = {p}")
     bases = tuple(map(Basis, best))
@@ -80,6 +82,7 @@ def range_table(
     mode: str = "plain",
     maxima: dict[int, MaximalBasisSet] | None = None,
     node_budget: int | None = None,
+    threads: int = 1,
 ) -> RangeTable:
     """Closure ranges 2*(2*tail + j*p) at every realizable (k, p).
 
@@ -93,7 +96,7 @@ def range_table(
     for p in p_list:
         mset = (maxima or {}).get(p)
         if mset is None:
-            mset = maximal_symmetricisable(p, mode, node_budget=node_budget)
+            mset = maximal_symmetricisable(p, mode, node_budget=node_budget, threads=threads)
         elif (mset.p, mset.mode) != (p, mode) or not mset.bases:
             raise PreconditionError(
                 f"maximal set for p={p} is {mset.mode!r} at p={mset.p} (bases: {len(mset.bases)}), "

@@ -31,6 +31,7 @@ import json
 import os
 import sys
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
@@ -117,7 +118,7 @@ class BasisDFS:
         self.constrained = constrained
         self.min_height = min_height
         self.node_budget = node_budget
-        self.leaf_cov = self.leaf_mask = self._kind = None
+        self.leaf_cov = self.leaf_mask = self._kind = self._tally = None
         self._ran = False  # set when the walk starts, as a fold or an iteration
         if state is None:
             state = {"prefix": [1], "cursors": [2], "visited": 1}
@@ -382,32 +383,46 @@ def _records_leaf(p, c, q, at, count, test, sym, **_) -> list:
             f"    dfs._at = {at}", "    due = dfs._due = dfs._pause()"]
 
 
-# A walk kind: `new(_tops(total))` makes the list its fold fills, `head` opens a kernel that
-# walks the leaves, `leaf` gives a leaf's code from the names `_kernel_source` passes, and
+def _summed(lists) -> list:
+    return [sum(column) for column in zip(*lists)]
+
+
+def _top_ties(lists) -> list:
+    """The leaves of the lists whose top is the largest, in the lists' order."""
+    lists = [leaves for leaves in lists if leaves]
+    top = max((leaves[0][-1] for leaves in lists), default=None)
+    return [leaf for leaves in lists if leaves[0][-1] == top for leaf in leaves]
+
+
+# A walk kind: `new(_tops(total))` makes the list its fold fills, `merge` makes one result of
+# the lists that folds of consecutive parts of a walk filled, `head` opens a kernel that walks
+# the leaves, `leaf` gives a leaf's code from the names `_kernel_source` passes, and
 # `names(elements, tail shift)` adds globals to the kind's kernels
-_Kind = namedtuple("_Kind", "new head leaf names", defaults=(lambda elements, shift: {},))
+_Kind = namedtuple("_Kind", "new merge head leaf names", defaults=(lambda elements, shift: {},))
 _KINDS = {
     # yields each leaf, with its coverage and element mask
-    None: _Kind(None, (), lambda c, q, at, count, **_: [
+    None: _Kind(None, None, (), lambda c, q, at, count, **_: [
         *count, "dfs.visited = visited", f"dfs.leaf_mask = m = m{q} | 1 << {c}",
         f"dfs.leaf_cov = v{q} | m << {c}", f"dfs._at = t = {at}", "yield t"]),
     # counts each leaf at 3 * top + e, e = extensible + symmetricisable as in classify_raw
-    "tally": _Kind(lambda tops: [0] * (3 * tops), ("tally = dfs._tally",),
+    "tally": _Kind(lambda tops: [0] * (3 * tops), _summed, ("tally = dfs._tally",),
                    lambda c, count, test, sym, **_: [
         *count, "e = 0", *test, f"        e = 1 + {sym}", f"tally[3 * {c} + e] += 1"]),
     # keeps the symmetricisable leaves with the largest top, in walk order; each kernel
     # starts from the best top found so far, its floor, and counts a run below it at once
-    "maximal": _Kind(lambda tops: [], ("best = dfs._tally", "floor = best[0][-1] if best else 0"),
-                     _maximal_leaf),
+    "maximal": _Kind(lambda tops: [], _top_ties,
+                     ("best = dfs._tally", "floor = best[0][-1] if best else 0"), _maximal_leaf),
     # the JSONL lines json.dumps gives, each ending in `ends[e]`, and their count by e; the
-    # line takes the text of each element, comma included, and of the top with its tail
-    "records": _Kind(lambda tops: [[], [0, 0, 0]],
+    # line takes the text of each element, comma included, and of the top with its tail.
+    # The lists stay apart, to be written one by one through `_take_records` as they come
+    "records": _Kind(lambda tops: [[], [0, 0, 0]], iter,
                      ("out, tally = dfs._tally", "ends, due = dfs._ends, dfs._due"), _records_leaf,
                      lambda elements, shift: {"digits": tuple(f"{a}," for a in elements),
                          "tails": tuple(f'{a}],"tail":{a - shift}' for a in elements)}),
     # counts the leaves with range below, at and above top + p - 1: d = n - (c + p - 1), as
     # n + 2 is the bit length of the lowest run of ones in the leaf's coverage w
-    "range": _Kind(lambda tops: [0, 0, 0], ("tally = dfs._tally",), lambda p, c, q, count, **_: [
+    "range": _Kind(lambda tops: [0, 0, 0], _summed, ("tally = dfs._tally",),
+                   lambda p, c, q, count, **_: [
         *count, f"w = v{q} | (m{q} | 1 << {c}) << {c}",
         f"d = (w ^ (w + 1)).bit_length() - {c} - {p + 1}", "tally[(d >= 0) + (d > 0)] += 1"]),
 }
@@ -435,29 +450,73 @@ def subtree_prefixes(p: int, total: int, constrained: int, depth: int) -> list:
     return list(BasisDFS(p, depth, constrained=min(constrained, depth)))
 
 
-def _subtree_dfs(p, total, constrained, prefix) -> BasisDFS:
+def _subtree_fold(task) -> tuple[list, int]:
+    """Pool worker: the fold list of the subtree below a prefix, and its nodes below the prefix."""
+    kind, p, total, constrained, budget, prefix, rest = task
     state = {"p": p, "prefix": list(prefix), "cursors": [c + 1 for c in prefix]}
-    return BasisDFS(
-        p, total, constrained=constrained, state=state, min_height=len(prefix)
-    )
+    walk = BasisDFS(p, total, constrained, state, len(prefix), budget)
+    return walk.fold(kind, *rest), walk.visited - len(prefix)
 
 
-def _subtree_fold(args):
-    """Pool worker: the list of `fold(kind, *rest)` on the subtree below one prefix."""
-    kind, p, total, prefix, *rest = args
-    return _subtree_dfs(p, total, p - 1, prefix).fold(kind, *rest)
+_POOLS: dict = {}  # thread count -> the pool of the outermost `_pool` block open for it
 
 
-def _pooled(kind: str, p: int, total: int, threads: int, *rest):
-    """The list of `fold(kind, *rest)` on each subtree of the search, run by `threads` workers.
+@contextmanager
+def _pool(threads: int):
+    """A pool of `threads` workers, which every `_pool` block inside this one shares.
 
-    The lists come in the lexicographic order of the subtrees.
+    The outermost block opens it and closes it at its end.  At one thread
+    there is no pool, and multiprocessing stays unimported.
     """
-    import multiprocessing  # its only use, so importing the package stays cheap
+    if threads <= 1 or threads in _POOLS:
+        yield _POOLS.get(threads)
+        return
+    import multiprocessing  # only a pooled fold needs it, so importing the package stays cheap
 
-    prefixes = subtree_prefixes(p, total, p - 1, max(1, min(4, p - 2)))
     with multiprocessing.Pool(threads) as pool:
-        yield from pool.imap(_subtree_fold, [(kind, p, total, pre, *rest) for pre in prefixes])
+        _POOLS[threads] = pool
+        try:
+            yield pool
+        finally:
+            del _POOLS[threads]
+
+
+def _fold(walk: BasisDFS, kind: str, threads: int = 1, *rest):
+    """`_KINDS[kind].merge` of the lists of the fold `kind` over a walk, in walk order.
+
+    At one thread that is the one list of `walk.fold(kind, *rest)`.  More
+    threads split a fresh walk at `subtree_prefixes`, looked up in this
+    module when called, and fold each subtree in a worker of `_pool`.
+    Their budget verdict is the serial walk's: that walk visits the split
+    walk's nodes and each subtree's below its prefix, and over the budget
+    the pooled fold raises the error the serial one raises there.
+    """
+    if threads <= 1:
+        return _KINDS[kind].merge([walk.fold(kind, *rest)])
+    p, total, constrained, budget = walk.p, walk.total, walk.constrained, walk.node_budget
+    depth = max(1, min(4, p - 2))  # at most total - 1, as total >= p - 1
+    tasks = [(kind, p, total, constrained, budget, prefix, rest)
+             for prefix in subtree_prefixes(p, total, constrained, depth)]
+    nodes = 1  # the split walk's, the root alone when it has one level
+    if budget is not None and depth > 1:  # walked again, in the kernel subtree_prefixes compiled
+        split = BasisDFS(p, depth, constrained=min(constrained, depth))
+        for _ in split:
+            pass
+        nodes = split.visited
+
+    def lists():
+        nonlocal nodes
+        try:
+            with _pool(threads) as pool:
+                for folded, below in pool.imap(_subtree_fold, tasks):
+                    nodes += below
+                    yield folded
+        except BudgetExceededError:  # a subtree alone went over, restored or walking
+            nodes = budget + 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(budget + 1, budget)  # the serial walk's error, always
+
+    return _KINDS[kind].merge(lists())
 
 
 def classify_raw(elems: tuple[int, ...], cov: int, mask: int, p: int):
@@ -516,9 +575,9 @@ class PlusBasisRecord:
     symmetricisable: bool
 
 
-def enumerate_p_bases(p: int, node_budget: int | None = None) -> int:
+def enumerate_p_bases(p: int, node_budget: int | None = None, threads: int = 1) -> int:
     """Number of p-bases: the total of the range fold, whose leaf step is the cheapest."""
-    return sum(BasisDFS(p, p - 1, node_budget=node_budget).fold("range"))
+    return sum(_fold(BasisDFS(p, p - 1, node_budget=node_budget), "range", threads))
 
 
 @dataclass(frozen=True)
@@ -538,16 +597,13 @@ class ClassStats:
 
 
 def _tail_counts(p: int, threads: int = 1, node_budget: int | None = None) -> list:
-    """The "tally" fold over all p-bases: one walk, or the sum of one per subtree.
+    """The "tally" fold over all p-bases.
 
     It counts each p-basis at 3 * tail + extensible + symmetricisable; a
     symmetricisable basis is always extensible, so index % 3 is 0 for
     neither, 1 for extensible only and 2 for both.
     """
-    _reject_budget_with_threads(threads, node_budget)
-    if threads <= 1:
-        return BasisDFS(p, p - 1, node_budget=node_budget).fold("tally")
-    return [sum(column) for column in zip(*_pooled("tally", p, p - 1, threads))]
+    return _fold(BasisDFS(p, p - 1, node_budget=node_budget), "tally", threads)
 
 
 def _class_counts(rows: list) -> tuple[int, int, int]:
@@ -555,12 +611,6 @@ def _class_counts(rows: list) -> tuple[int, int, int]:
     n_s = sum(rows[2::3])
     n_e = n_s + sum(rows[1::3])
     return n_e + sum(rows[0::3]), n_e, n_s
-
-
-def _reject_budget_with_threads(threads: int, node_budget: int | None) -> None:
-    # each worker would count its own subtree only; one global cap is still open
-    if threads > 1 and node_budget is not None:
-        raise PreconditionError("a node budget requires a single-threaded run")
 
 
 def classify(p: int, threads: int = 1, node_budget: int | None = None) -> ClassStats:
@@ -578,8 +628,9 @@ class RangeComparison:
     above: int
 
 
-def range_comparison_stats(p: int, node_budget: int | None = None) -> RangeComparison:
-    return RangeComparison(p, *BasisDFS(p, p - 1, node_budget=node_budget).fold("range"))
+def range_comparison_stats(p: int, node_budget: int | None = None,
+                           threads: int = 1) -> RangeComparison:
+    return RangeComparison(p, *_fold(BasisDFS(p, p - 1, node_budget=node_budget), "range", threads))
 
 
 @dataclass(frozen=True)
@@ -594,8 +645,8 @@ class TailDistribution:
     rows: tuple[tuple[int, int, int, int], ...]  # (tail, n_p, n_e, n_s)
 
 
-def tail_distribution(p: int, node_budget: int | None = None) -> TailDistribution:
-    counts = _tail_counts(p, node_budget=node_budget)
+def tail_distribution(p: int, node_budget: int | None = None, threads: int = 1) -> TailDistribution:
+    counts = _tail_counts(p, threads, node_budget)
     rows = tuple(
         (tail, *_class_counts(counts[3 * tail:3 * tail + 3]))
         for tail in range(p - 1, max(i for i, n in enumerate(counts) if n) // 3 + 1)
@@ -620,8 +671,8 @@ class MaximaRecord:
         return self.v2 / self.v1
 
 
-def maxima_record(p: int, node_budget: int | None = None) -> MaximaRecord:
-    rows = _tail_counts(p, node_budget=node_budget)
+def maxima_record(p: int, node_budget: int | None = None, threads: int = 1) -> MaximaRecord:
+    rows = _tail_counts(p, threads, node_budget)
     v1 = max((i for i, n in enumerate(rows) if n), default=0) // 3
     v2 = max((i // 3 for i, n in enumerate(rows) if n and i % 3), default=0)
     return MaximaRecord(p=p, v1=v1, v2=v2)
@@ -723,8 +774,9 @@ def run_enumeration(
     total, _ = _mode_levels(p, mode)
     if mode == "plus":
         classify_records = True
-    if threads > 1 and checkpoint_path:
-        raise PreconditionError("checkpointing requires a single-threaded run")
+    if threads > 1 and (checkpoint_path or node_budget is not None):
+        # a record stream that can stop part way runs serially, so it stops where one walk does
+        raise PreconditionError("a checkpoint or a node budget requires a single-threaded run")
     if checkpoint_path and out_path is None:
         # stdout cannot be cut back to a checkpoint's count, so a resume would repeat records
         raise PreconditionError("checkpointing needs a record file (--out)")
@@ -733,7 +785,6 @@ def run_enumeration(
         # each would overwrite the other, and a finished run removes the checkpoint
         raise PreconditionError(
             f"record file {out_path!r} is the checkpoint {checkpoint_path!r} or its temporary")
-    _reject_budget_with_threads(threads, node_budget)
 
     if resume and not checkpoint_path:
         raise PreconditionError("--resume needs a checkpoint file")
@@ -747,16 +798,12 @@ def run_enumeration(
 
     def emit_records(sink):
         """Write the records, flushing only before each checkpoint and at the end."""
-        if threads > 1:
-            for records in _pooled("records", p, total, threads, _ENDS[classify_records]):
-                sink.write(_take_records(records, counts, classify_records))
-            return
 
-        def drain():
-            sink.write(_take_records(dfs._tally, counts, classify_records))
+        def drain(records):
+            sink.write(_take_records(records, counts, classify_records))
 
         def pause():  # at the leaf where dfs.state() now stands
-            drain()
+            drain(dfs._tally)
             if checkpoint_path:
                 sink.flush()  # a checkpoint never counts a line that is not in the file
                 frontier = dfs.state()
@@ -764,10 +811,14 @@ def run_enumeration(
                 save_checkpoint(checkpoint_path, frontier)
             return dfs.visited + checkpoint_every
 
+        # only the walk in this process can call back, so only one thread pauses
+        hooks = (dfs.visited + checkpoint_every, pause) if threads <= 1 else ()
         try:
-            dfs.fold("records", _ENDS[classify_records], dfs.visited + checkpoint_every, pause)
+            for records in _fold(dfs, "records", threads, _ENDS[classify_records], *hooks):
+                drain(records)
         finally:
-            drain()  # after a budget trip too, so the file holds every leaf before it
+            if dfs._tally is not None:  # a serial walk's lines since its last pause, after a trip too
+                drain(dfs._tally)
         # a finished run needs no recovery point, and a stale one would
         # restore as a fresh traversal and duplicate every record; the file
         # gets every record before the recovery point goes

@@ -80,8 +80,11 @@ def test_parse_and_wire_formats():
     assert Basis.parse(basis.to_text()) == basis
     assert Basis.from_json(basis.to_json()) == basis
     assert Basis.from_json(json.loads(basis.to_json())) == basis
-    with pytest.raises(BasisError):
-        Basis.parse("1,2,x")
+    assert Basis.parse(" 1, 3 ,4\n") == Basis((1, 3, 4))
+    # int() reads "2_0", "\u0663" and "+3" as 20, 3 and 3
+    for text in ("1,2,x", "1,2_0", "1,\u0663", "1,+3", "1,-3", "1,,3", ""):
+        with pytest.raises(BasisError):
+            Basis.parse(text)
     with pytest.raises(BasisError):
         Basis.from_json('{"numbers": [1, 2]}')
 

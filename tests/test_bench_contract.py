@@ -10,6 +10,10 @@ skips a ``BOUNDARIES`` name that no longer exists.
 import ast
 import importlib
 import inspect
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import stampbase.cli as cli
@@ -118,6 +122,25 @@ def test_parallel_paths_split_through_the_module_global(monkeypatch, tmp_path):
     search.classify(7, threads=2)
     search.run_enumeration(7, out_path=str(tmp_path / "p7.jsonl"), threads=2)
     assert len(calls) == 2
+    # the pool probe reads its workers' CPU from RUSAGE_CHILDREN, which counts reaped ones only
+    assert not multiprocessing.active_children()
+
+
+def test_one_thread_never_imports_multiprocessing(tmp_path):
+    # the benchmark's set-up time and peak RSS count what a one-thread job imports
+    script = (
+        "import sys\n"
+        "import stampbase.cli as cli\n"
+        "for argv in (['tables', '3'], ['enumerate', '9']):\n"
+        "    assert cli.main([*argv, '--threads', '1']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.startswith('multiprocessing')),\n"
+        "      file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(BENCH.parent / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=env, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "[]\n")
 
 
 def test_cli_calls_the_traced_boundaries_through_module_globals(monkeypatch, capsys):

@@ -47,9 +47,10 @@ TABLES = {
 }
 
 
-@pytest.mark.parametrize("table", sorted(TABLES))
-def test_table_stdout(table):
-    code, out = run("tables", str(table), "--p-max", "12")
+@pytest.mark.parametrize("table, threads", [(t, n) for n in ("1", "2") for t in sorted(TABLES)],
+                         ids=[f"{t}{suffix}" for suffix in ("", "-2-threads") for t in sorted(TABLES)])
+def test_table_stdout(table, threads):
+    code, out = run("tables", str(table), "--p-max", "12", "--threads", threads)
     assert code == 0
     assert sha(out) == TABLES[table]
 
@@ -66,12 +67,6 @@ def test_extremal_table_at_p16(table):
     code, out = run("tables", str(table), "--p-max", "16")
     assert code == 0
     assert sha(out) == EXTREMAL_P16[table]
-
-
-def test_classification_at_two_threads():
-    code, out = run("tables", "3", "--p-max", "12", "--threads", "2")
-    assert code == 0
-    assert sha(out) == TABLES[3]
 
 
 def test_classification_over_budget():

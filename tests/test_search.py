@@ -30,7 +30,7 @@ from stampbase.search import (
     run_enumeration,
     subtree_prefixes,
     tail_distribution,
-    _subtree_dfs,
+    _fold,
     _tail_counts,
 )
 from stampbase.symmetric import closure_profile, is_symmetricisable_plus
@@ -42,6 +42,12 @@ from oracles import (
 )
 
 FOLDS = ("tally", "maximal", "records", "range")  # every kind of BasisDFS.fold
+
+
+def subtree_walk(p, total, constrained, prefix):
+    """The walk of the subtree below `prefix`, as a pool worker starts it."""
+    state = {"p": p, "prefix": list(prefix), "cursors": [c + 1 for c in prefix]}
+    return BasisDFS(p, total, constrained=constrained, state=state, min_height=len(prefix))
 
 
 @pytest.mark.parametrize("p", range(3, 11))
@@ -176,7 +182,7 @@ def test_a_shape_compiles_once(monkeypatch):
         classify(9)
         list(BasisDFS(9, 9, constrained=8))
         for prefix in subtree_prefixes(9, 8, 8, 3):
-            list(_subtree_dfs(9, 8, 8, prefix))
+            list(subtree_walk(9, 8, 8, prefix))
     assert len(set(compiled)) == len(compiled) == 4
 
 
@@ -542,7 +548,7 @@ def test_subtree_prefixes_partition_the_search():
     for depth in (1, 2, 3):
         merged = []
         for prefix in subtree_prefixes(p, total, p - 1, depth):
-            merged.extend(_subtree_dfs(p, total, p - 1, prefix))
+            merged.extend(subtree_walk(p, total, p - 1, prefix))
         assert merged == whole
 
 
@@ -554,7 +560,7 @@ def test_subtree_state_resumes_the_whole_walk(extra):
     whole = list(BasisDFS(p, total, constrained=p - 1))
     states = 0
     for prefix in subtree_prefixes(p, total, p - 1, 3):
-        sub = _subtree_dfs(p, total, p - 1, prefix)
+        sub = subtree_walk(p, total, p - 1, prefix)
         for elems in sub:
             rest = BasisDFS(p, total, constrained=p - 1, state=sub.state())
             assert list(rest) == whole[whole.index(elems) + 1:]
@@ -571,11 +577,50 @@ def test_state_restore_resumes_mid_iteration():
 
 
 def test_node_budget_needs_a_single_thread(tmp_path):
-    with pytest.raises(PreconditionError, match="single-threaded"):
-        classify(14, threads=2, node_budget=5000)
+    # a pooled census counts the serial walk's nodes; a record stream that can stop part way
+    # runs serially
+    for budget in (5000, 10 ** 6):
+        try:
+            serial = classify(14, node_budget=budget)
+        except BudgetExceededError as err:
+            with pytest.raises(BudgetExceededError) as pooled:
+                classify(14, threads=2, node_budget=budget)
+            assert (pooled.value.visited, pooled.value.budget) == (err.visited, err.budget)
+        else:
+            assert classify(14, threads=2, node_budget=budget) == serial
     with pytest.raises(PreconditionError, match="single-threaded"):
         run_enumeration(12, out_path=str(tmp_path / "x.jsonl"), threads=2, node_budget=50)
     assert not (tmp_path / "x.jsonl").exists()
+
+
+def folded_or_tripped(p, total, kind, threads, budget=None):
+    """`_fold` of a fresh walk, a records fold's lists joined, or its error as (visited, budget)."""
+    try:
+        result = _fold(BasisDFS(p, total, constrained=p - 1, node_budget=budget), kind, threads)
+        if kind != "records":
+            return result
+        lists = list(result)
+        return ("".join(line for lines, _ in lists for line in lines),
+                [sum(column) for column in zip(*(counts for _, counts in lists))])
+    except BudgetExceededError as err:
+        return err.visited, err.budget
+
+
+@pytest.mark.parametrize("kind", FOLDS)
+@pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
+def test_a_pooled_fold_is_the_serial_fold_under_any_budget(kind, extra):
+    # a pooled walk trips iff the serial one does, always at budget + 1, also where a worker
+    # is restored at its prefix's depth d <= 4 over a budget below d, and so reports d itself
+    with search._pool(2):
+        for p in range(5, 13):
+            total = p - 1 + extra
+            whole = BasisDFS(p, total, constrained=p - 1)
+            whole.fold(kind)
+            serial, nodes = folded_or_tripped(p, total, kind, 1), whole.visited
+            for budget in {None, *range(6), nodes - 1, nodes, *range(6, nodes, nodes // 5)}:
+                expected = serial if budget is None or budget >= nodes else (budget + 1, budget)
+                assert folded_or_tripped(p, total, kind, 1, budget) == expected, (p, budget)
+                assert folded_or_tripped(p, total, kind, 2, budget) == expected, (p, budget)
 
 
 @pytest.mark.parametrize("p, prefix, cursors", [
