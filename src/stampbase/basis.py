@@ -15,7 +15,6 @@ above zero locates the range.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 
 class BasisError(ValueError):
@@ -24,6 +23,42 @@ class BasisError(ValueError):
 
 class PreconditionError(ValueError):
     """An operation was applied to a basis outside its stated domain."""
+
+
+def _record(cls):
+    """Make a class a frozen record of its annotated fields, as dataclass(frozen=True) did.
+
+    One compiled `__init__` takes the fields in order, by position or keyword, then
+    runs `__post_init__` if the class has one.  Repr, equality and hash go by field
+    values, equal only within one class; assignment and deletion raise AttributeError.
+    """
+    names = tuple(cls.__annotations__)
+    body = "".join(f"\n _set(self, {name!r}, {name})" for name in names)
+    post_init = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    scope = {"_set": object.__setattr__, "__name__": cls.__module__}
+    exec(f"def __init__(self, {', '.join(names)}):{body}{post_init}", scope)
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__.__annotations__ = {**cls.__annotations__, "return": None}
+
+    def values(self):
+        return tuple([getattr(self, name) for name in names])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return values(self) == values(other) if same else NotImplemented
+
+    def refuse(self, name, *value):
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    cls.__match_args__, cls.__repr__ = names, __repr__
+    cls.__eq__, cls.__hash__ = __eq__, lambda self: hash(values(self))
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
 
 
 def coverage(elements) -> tuple[int, int]:
@@ -70,7 +105,7 @@ def _validated(elements) -> tuple[int, ...]:
     return elems
 
 
-@dataclass(frozen=True)
+@_record
 class Basis:
     """Strictly increasing positive integers a_1 = 1 < a_2 < ... < a_k."""
 
@@ -123,13 +158,13 @@ class Basis:
         return json.dumps({"elements": list(self.elements)})
 
 
-@dataclass(frozen=True)
+@_record
 class RangeResult:
     n: int
     admissible: bool
 
 
-@dataclass(frozen=True)
+@_record
 class ReachSet:
     """Coverage snapshot for a basis: which sums of at most two elements exist.
 
@@ -178,7 +213,7 @@ def extend_reach(reach: ReachSet, basis: Basis, new_element: int) -> ReachSet:
     return ReachSet(limit=2 * new_element, element_mask=mask, covered=cov)
 
 
-@dataclass(frozen=True)
+@_record
 class ResidueProfile:
     """Residues of a_0, a_1, ..., a_k mod p in positional order."""
 

@@ -322,13 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stohr = sub.add_parser("stohr", help="greedy continuation of a basis")
     p_stohr.add_argument("basis")
-    p_stohr.add_argument("--count", type=int, default=10,
+    p_stohr.add_argument("--count", type=_non_negative_int, default=10,
                          help="number of greedy terms to print")
     p_stohr.add_argument("--scan-period", action="store_true",
                          dest="scan_period",
                          help="report periodicity of the greedy increments")
-    p_stohr.add_argument("--max-terms", type=int, default=200, dest="max_terms")
-    p_stohr.add_argument("--verify-periods", type=int, default=3,
+    p_stohr.add_argument("--max-terms", type=_non_negative_int, default=200, dest="max_terms")
+    p_stohr.add_argument("--verify-periods", type=_int_at_least(2), default=3,
                          dest="verify_periods")
     p_stohr.set_defaults(func=cmd_stohr)
     return parser

@@ -25,12 +25,10 @@ period sum is structurally bounded, which `periodic_scan` detects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .basis import (
     Basis,
     PreconditionError,
+    _record,
     coverage,
     extend_coverage,
     is_p_basis,
@@ -56,7 +54,7 @@ def extension_threshold(b0: int, p: int) -> int:
     return (b0 + p - 1) // p - 1
 
 
-@dataclass(frozen=True)
+@_record
 class ExtensionReport:
     """Verdict of the extensibility test.
 
@@ -112,7 +110,7 @@ def is_extensible(base: Basis, p: int) -> ExtensionReport:
     return ExtensionReport(False, k_star, s, complete)
 
 
-@dataclass(frozen=True)
+@_record
 class StohrSequence:
     """Greedy continuation terms a_{j+i+1} = n(A_{j+i}) + 1 and their steps."""
 
@@ -166,7 +164,7 @@ def extension_range_identity(pbasis: Basis, p: int, k_max: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@_record
 class PeriodReport:
     """Detected repetition in greedy-continuation increments.
 
@@ -184,6 +182,7 @@ class PeriodReport:
 
     @property
     def average(self) -> Fraction:
+        from fractions import Fraction  # only the period scan needs it, not a table's start-up
         return Fraction(self.period_sum, self.period_length)
 
     def to_json_dict(self) -> dict:

@@ -13,14 +13,12 @@ produce overlapping segments at the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .basis import Basis, PreconditionError
+from .basis import Basis, PreconditionError, _record
 from .search import BasisDFS, _fold, _mode_levels
 from .symmetric import closure_profile
 
 
-@dataclass(frozen=True)
+@_record
 class MaximalBasisSet:
     """All symmetricisable records attaining the maximal tail for one p."""
 
@@ -60,7 +58,7 @@ def maximal_symmetricisable(
     return MaximalBasisSet(p=p, mode=mode, tail=bases[0].elements[-1] - shift, bases=bases)
 
 
-@dataclass(frozen=True)
+@_record
 class RangeTable:
     """Grid (k, p) -> range of the best admissible mirrored closure."""
 
@@ -119,7 +117,7 @@ def range_table(
     return RangeTable(mode=mode, k_max=k_max, tails=tails, entries=entries)
 
 
-@dataclass(frozen=True)
+@_record
 class BestSegments:
     """Winning p per k, compressed into runs (ties overlap at boundaries)."""
 

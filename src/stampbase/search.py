@@ -32,10 +32,9 @@ import os
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import chain
 
-from .basis import Basis, PreconditionError, coverage, first_gap
+from .basis import Basis, PreconditionError, _record, coverage, first_gap
 from .symmetric import symmetricisable_raw
 
 class BudgetExceededError(RuntimeError):
@@ -556,7 +555,7 @@ def classify_raw(elems: tuple[int, ...], cov: int, mask: int, p: int):
     return True, symmetricisable_raw(elems, mask, p)
 
 
-@dataclass(frozen=True)
+@_record
 class PBasisRecord:
     basis: Basis
     p: int
@@ -565,7 +564,7 @@ class PBasisRecord:
     symmetricisable: bool
 
 
-@dataclass(frozen=True)
+@_record
 class PlusBasisRecord:
     basis: Basis
     p: int
@@ -580,7 +579,7 @@ def enumerate_p_bases(p: int, node_budget: int | None = None, threads: int = 1) 
     return sum(_fold(BasisDFS(p, p - 1, node_budget=node_budget), "range", threads))
 
 
-@dataclass(frozen=True)
+@_record
 class ClassStats:
     p: int
     n_p: int
@@ -618,7 +617,7 @@ def classify(p: int, threads: int = 1, node_budget: int | None = None) -> ClassS
     return ClassStats(p, *_class_counts(_tail_counts(p, threads, node_budget)))
 
 
-@dataclass(frozen=True)
+@_record
 class RangeComparison:
     """How ranges of p-bases compare against the yardstick a_{p-1} + p - 1."""
 
@@ -633,7 +632,7 @@ def range_comparison_stats(p: int, node_budget: int | None = None,
     return RangeComparison(p, *_fold(BasisDFS(p, p - 1, node_budget=node_budget), "range", threads))
 
 
-@dataclass(frozen=True)
+@_record
 class TailDistribution:
     """Per-tail counts (n_p, n_e, n_s) from the smallest possible tail to v1.
 
@@ -654,7 +653,7 @@ def tail_distribution(p: int, node_budget: int | None = None, threads: int = 1) 
     return TailDistribution(p=p, rows=rows)
 
 
-@dataclass(frozen=True)
+@_record
 class MaximaRecord:
     """Largest tails v1 (over all p-bases) and v2 (over extensible ones)."""
 

@@ -29,12 +29,11 @@ reference; `closure_profile` runs it at each m = 0..m0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .basis import (
     Basis,
     BasisError,
     PreconditionError,
+    _record,
     coverage,
     is_p_basis,
     range_from_coverage,
@@ -54,7 +53,7 @@ def closure_range(b0: int, p: int, j: int) -> int:
     return 2 * (2 * b0 + j * p)
 
 
-@dataclass(frozen=True)
+@_record
 class SymmetricClosure:
     origin: Basis
     p: int
@@ -81,7 +80,7 @@ def build_symmetric_closure(origin: Basis, p: int, j: int) -> SymmetricClosure:
     )
 
 
-@dataclass(frozen=True)
+@_record
 class SymmetricisabilityReport:
     """Admissibility profile of the mirrored closures S_0 ... S_{m0}.
 

@@ -1,10 +1,14 @@
+import dataclasses
+import inspect
 import json
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stampbase
 from stampbase.basis import (
     Basis,
     BasisError,
@@ -191,3 +195,67 @@ def test_is_symmetric_examples():
     assert is_symmetric(Basis((1, 2, 3, 4)))
     assert is_symmetric(Basis((1,)))
     assert not is_symmetric(Basis((1, 2, 4)))
+
+
+# the value classes are frozen records; a frozen dataclass on the same fields is the reference
+RECORDS = [getattr(stampbase, name) for name in (
+    "Basis", "RangeResult", "ReachSet", "ResidueProfile", "ExtensionReport", "StohrSequence",
+    "PeriodReport", "MaximalBasisSet", "RangeTable", "BestSegments", "PBasisRecord",
+    "PlusBasisRecord", "ClassStats", "RangeComparison", "TailDistribution", "MaximaRecord",
+    "SymmetricClosure", "SymmetricisabilityReport",
+)]
+
+
+def _sample(cls):
+    """Hashable values for the fields of cls, valid for Basis; another sample differs in each."""
+    if cls is Basis:
+        return ((1, 3, 4),), ((1, 2),)
+    n = len(cls.__annotations__)
+    return tuple((i, "v") for i in range(n)), tuple(range(n))
+
+
+def test_records_are_the_public_value_classes():
+    public = [getattr(stampbase, name) for name in stampbase.__all__]
+    classes = {value for value in public
+               if isinstance(value, type) and not issubclass(value, Exception)}
+    assert classes == set(RECORDS)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_matches_a_frozen_dataclass(cls):
+    names = list(cls.__annotations__)
+    ref_cls = dataclasses.make_dataclass(
+        cls.__name__, [(name, cls.__annotations__[name]) for name in names], frozen=True)
+    values, other_values = _sample(cls)
+    record, ref = cls(*values), ref_cls(*values)
+    assert inspect.signature(cls) == inspect.signature(ref_cls)
+    assert cls(**dict(zip(names, values))) == record
+    assert repr(record) == repr(ref)
+    assert cls.__match_args__ == ref_cls.__match_args__ == tuple(names)
+
+    same, other = cls(*values), cls(*other_values)
+    assert record == same and not record != same and hash(record) == hash(same) == hash(ref)
+    assert record != other and not record == other
+    # a same-valued instance of another class is never equal, as a dataclass's is not
+    assert record != ref and not record == ref
+
+    for name in (names[0], "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record == same
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(record, protocol))
+        assert type(copy) is cls and copy == record and repr(copy) == repr(record)
+
+
+def test_record_values_keep_their_dataclass_behaviour():
+    table = stampbase.RangeTable("plain", 10, {5: 7}, {(8, 5): 30})
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(table)
+    for make in (lambda: Basis((1, 1)), lambda: Basis(elements=(1, 1))):
+        with pytest.raises(BasisError):
+            make()
+    # __post_init__ stores the validated tuple, whatever sequence came in
+    assert hash(Basis((1, 2))) == hash(Basis(elements=[1, 2])) == hash(((1, 2),))

@@ -127,20 +127,30 @@ def test_parallel_paths_split_through_the_module_global(monkeypatch, tmp_path):
 
 
 def test_one_thread_never_imports_multiprocessing(tmp_path):
-    # the benchmark's set-up time and peak RSS count what a one-thread job imports
+    # the benchmark's set-up time and peak RSS count what a one-thread job imports:
+    # no pool, no dataclass machinery (which pulls in inspect), and fractions only
+    # for the period scan.  Modules the interpreter had loaded before the script's
+    # first line (site, .pth files) are not counted.
     script = (
         "import sys\n"
+        "bare = set(sys.modules)\n"
         "import stampbase.cli as cli\n"
         "for argv in (['tables', '3'], ['enumerate', '9']):\n"
         "    assert cli.main([*argv, '--threads', '1']) == 0\n"
-        "print(sorted(name for name in sys.modules if name.startswith('multiprocessing')),\n"
-        "      file=sys.stderr)\n"
+        "print(sorted(name for name in set(sys.modules) - bare\n"
+        "             if name.split('.')[0] in ('multiprocessing', 'dataclasses', 'inspect',\n"
+        "                                       'fractions')), file=sys.stderr)\n"
+        "sys.stdout.write('---\\n')\n"
+        "assert cli.main(['stohr', '1,3,5,6', '--scan-period']) == 0\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(BENCH.parent / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, env=env, cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "[]\n")
+    assert proc.stdout.split("---\n")[1] == (
+        '{"preperiod": 0, "period_length": 4, "period_sum": 18, "pattern": [7, 2, 2, 7], '
+        '"average_num": 9, "average_den": 2, "verified_periods": 3}\n')
 
 
 def test_cli_calls_the_traced_boundaries_through_module_globals(monkeypatch, capsys):

@@ -625,6 +625,10 @@ def test_serial_tables_ignore_threads(capsys, which, budget):
     ["enumerate", "8", "--checkpoint-every", "-5"],
     ["enumerate", "8", "--node-budget", "-1"],
     ["tables", "1", "--node-budget", "-1"],
+    ["stohr", "1,2", "--count", "-1"],
+    ["stohr", "1,2", "--max-terms", "-5", "--scan-period"],
+    ["stohr", "1,2", "--verify-periods", "1"],
+    ["stohr", "1,2", "--verify-periods", "1", "--scan-period"],
 ])
 def test_meaningless_numbers_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
