@@ -24,6 +24,7 @@ from .basis import Basis, BasisError, PreconditionError, basis_range, is_p_basis
 from .extension import is_extensible, periodic_scan, stohr_sequence
 from .optimize import best_segments, maximal_symmetricisable, range_table
 from .search import (
+    _CHECKPOINT_EVERY,
     BudgetExceededError,
     _pool,
     classify,
@@ -73,6 +74,10 @@ def cmd_check(args) -> int:
         print("error: nothing to check; pass at least one predicate flag",
               file=sys.stderr)
         return 2
+    for flag, floor in (("p_basis", 3), ("extensible", 2), ("symmetricisable", 3), ("profile", 3)):
+        if getattr(args, flag) and p < floor:
+            print(f"error: --{flag.replace('_', '-')} needs p >= {floor}, got {p}", file=sys.stderr)
+            return 2
     report: dict = {"basis": list(basis.elements), "p": p}
     predicates = []
     if args.p_basis:
@@ -298,8 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--checkpoint", help="checkpoint file for resumable runs")
     p_enum.add_argument("--resume", action="store_true",
                         help="continue from the checkpoint file")
-    p_enum.add_argument("--checkpoint-every", type=_positive_int, default=5000,
-                        dest="checkpoint_every", metavar="NODES")
+    p_enum.add_argument("--checkpoint-every", type=_positive_int, default=_CHECKPOINT_EVERY,
+                        dest="checkpoint_every", metavar="NODES",
+                        help="nodes walked between checkpoints (default: %(default)s)")
     p_enum.add_argument("--threads", type=_positive_int, default=1)
     p_enum.add_argument("--node-budget", type=_non_negative_int, default=None,
                         dest="node_budget")

@@ -679,6 +679,11 @@ def maxima_record(p: int, node_budget: int | None = None, threads: int = 1) -> M
 
 # --- streaming enumeration with checkpoints -------------------------------
 
+# nodes between a serial stream's writes, and by default between its checkpoints (see the README)
+_WRITE_EVERY = 5000
+_CHECKPOINT_EVERY = 50000
+
+
 def save_checkpoint(path: str, state: dict) -> None:
     """Write-new-then-rename, with an fsync, so a crash never leaves a torn checkpoint.
 
@@ -758,7 +763,7 @@ def run_enumeration(
     out_stream=None,
     checkpoint_path: str | None = None,
     resume: bool = False,
-    checkpoint_every: int = 5000,
+    checkpoint_every: int = _CHECKPOINT_EVERY,
     threads: int = 1,
     node_budget: int | None = None,
 ) -> dict:
@@ -767,8 +772,8 @@ def run_enumeration(
     Output is byte-identical regardless of thread count or checkpoint
     cadence: parallel subtrees merge in lexicographic order, and a resumed
     run first truncates the record file back to the checkpointed count.
-    A serial run writes its records every `checkpoint_every` nodes, at the
-    leaf where it checkpoints, and at the end.
+    A serial run writes its records at least every `_WRITE_EVERY` nodes, at
+    each checkpoint, every `checkpoint_every` nodes, and at the end.
     """
     total, _ = _mode_levels(p, mode)
     if mode == "plus":
@@ -801,17 +806,21 @@ def run_enumeration(
         def drain(records):
             sink.write(_take_records(records, counts, classify_records))
 
-        def pause():  # at the leaf where dfs.state() now stands
+        checkpoint_due = dfs.visited + checkpoint_every
+
+        def pause():  # at the leaf where dfs.state() now stands; returns the next pause
+            nonlocal checkpoint_due
             drain(dfs._tally)
-            if checkpoint_path:
-                sink.flush()  # a checkpoint never counts a line that is not in the file
-                frontier = dfs.state()
-                frontier["partial_stats"] = {"mode": mode, "classify": bool(classify_records), **counts}
-                save_checkpoint(checkpoint_path, frontier)
-            return dfs.visited + checkpoint_every
+            if dfs.visited >= checkpoint_due:
+                checkpoint_due = dfs.visited + checkpoint_every
+                if checkpoint_path:
+                    sink.flush()  # a checkpoint never counts a line that is not in the file
+                    save_checkpoint(checkpoint_path, {**dfs.state(), "partial_stats": {
+                        "mode": mode, "classify": bool(classify_records), **counts}})
+            return min(dfs.visited + _WRITE_EVERY, checkpoint_due)
 
         # only the walk in this process can call back, so only one thread pauses
-        hooks = (dfs.visited + checkpoint_every, pause) if threads <= 1 else ()
+        hooks = (min(dfs.visited + _WRITE_EVERY, checkpoint_due), pause) if threads <= 1 else ()
         try:
             for records in _fold(dfs, "records", threads, _ENDS[classify_records], *hooks):
                 drain(records)

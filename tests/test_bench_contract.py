@@ -172,3 +172,17 @@ def test_cli_calls_the_traced_boundaries_through_module_globals(monkeypatch, cap
     assert cli.main(["enumerate", "7"]) == 0
     capsys.readouterr()
     assert names and [name for name, n in calls.items() if n == 0] == []
+
+
+def test_one_default_checkpoint_cadence(capsys):
+    # bench/layers.py reads the default off run_enumeration's signature to count checkpoints;
+    # the CLI's default and its help must be the same constant
+    default = search._CHECKPOINT_EVERY
+    parameters = inspect.signature(search.run_enumeration).parameters
+    assert parameters["checkpoint_every"].default == default
+    assert cli.build_parser().parse_args(["enumerate", "9"]).checkpoint_every == default
+    try:
+        cli.main(["enumerate", "--help"])
+    except SystemExit as done:
+        assert done.code == 0
+    assert f"(default: {default})" in " ".join(capsys.readouterr().out.split())

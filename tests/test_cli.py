@@ -3,8 +3,10 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -115,6 +117,23 @@ def test_check_needs_a_predicate(capsys):
     assert "nothing to check" in err
 
 
+@pytest.mark.parametrize("p, flag, floor", [
+    ("1", "--symmetricisable", 3), ("2", "--profile", 3), ("2", "--p-basis", 3),
+    ("0", "--extensible", 2), ("-3", "--extensible", 2), ("2", "--symmetricisable", 3),
+])
+def test_check_p_below_a_predicates_floor(capsys, p, flag, floor):
+    # the message names p and the flag that needs more, not a procedure that was not asked for
+    code, out, err = run_cli(capsys, "check", "1,2", p, flag)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} needs p >= {floor}, got {p}\n"
+
+
+def test_check_extensible_at_p_2(capsys):
+    code, out, err = run_cli(capsys, "check", "1,3,4", "2", "--extensible")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["extension"]["extensible"] is True
+
+
 def test_check_precondition_error(capsys):
     code, _, err = run_cli(capsys, "check", "1,2,3", "6", "--symmetricisable")
     assert code == 2
@@ -205,6 +224,27 @@ def test_enumerate_checkpoint_resume_round_trip(tmp_path, capsys):
     )
     assert code == 0
     assert out.read_bytes() == ref.read_bytes()
+    assert not ckpt.exists()
+
+
+def test_a_killed_stream_resumes_to_the_same_bytes(tmp_path):
+    # a real process at the default cadence, killed as soon as its first checkpoint is there,
+    # usually with lines in the file that the checkpoint does not count yet
+    argv = [sys.executable, "-m", "stampbase", "enumerate", "16", "--classify"]
+    fresh = run_child([*argv, "--out", "fresh.jsonl"], tmp_path)
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    out, ckpt = tmp_path / "o.jsonl", tmp_path / "c.json"
+    argv += ["--out", str(out), "--checkpoint", str(ckpt)]
+    with subprocess.Popen(argv, stdout=subprocess.DEVNULL, env=child_env(), cwd=tmp_path) as child:
+        deadline = time.monotonic() + 60
+        while not ckpt.exists() and child.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.001)
+        child.kill()
+    assert child.returncode == -signal.SIGKILL, "the run ended before its first checkpoint"
+    assert ckpt.exists()
+    resumed = run_child([*argv, "--resume"], tmp_path)
+    assert (resumed.returncode, resumed.stdout, resumed.stderr) == (0, fresh.stdout, "")
+    assert out.read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
     assert not ckpt.exists()
 
 

@@ -941,6 +941,68 @@ def test_a_serial_run_holds_at_most_one_interval_of_lines(tmp_path, monkeypatch,
     assert "".join(writes) == "".join(sink.writes) == out.read_text(encoding="utf-8")
 
 
+@functools.cache
+def indexed_leaves(p, mode):
+    """(preorder index, leaf) of each leaf, the root's index 1, as `visited` counts nodes."""
+    total = p - 1 if mode == "plain" else p
+    return tuple((index, node) for index, node in enumerate(search_nodes(p, total, p - 1), 1)
+                 if len(node) == total)
+
+
+@pytest.mark.parametrize("every", [7, 50, 4999, 5000, 5001, 12345])
+@pytest.mark.parametrize("mode", ["plain", "plus"])
+@pytest.mark.parametrize("p", range(10, 14))
+def test_checkpoints_come_every_n_nodes(tmp_path, monkeypatch, p, mode, every):
+    # each checkpoint stands at the first leaf at least `every` nodes after the last one (the
+    # root, at first), whatever the writes between them; p = 13 has 11335 and 23907 nodes
+    expected, last = [], 1
+    for count, (index, leaf) in enumerate(indexed_leaves(p, mode), 1):
+        if index >= last + every:
+            expected.append(([*leaf[:-1]], [a + 1 for a in leaf[1:]], index, count))
+            last = index
+    saved = []
+    monkeypatch.setattr(search, "save_checkpoint", lambda path, state: saved.append(
+        (state["prefix"], state["cursors"], state["visited"], state["partial_stats"]["count"])))
+    run_enumeration(p, mode=mode, classify_records=True, out_path=str(tmp_path / "o.jsonl"),
+                    checkpoint_path=str(tmp_path / "c.json"), checkpoint_every=every)
+    assert saved == expected
+
+
+@pytest.mark.parametrize("to_file, every", [
+    (False, {}), (True, {}), (True, {"checkpoint_every": 7000})], ids=["stdout", "file", "7000"])
+@pytest.mark.parametrize("mode", ["plain", "plus"])
+def test_lines_go_out_at_most_5000_nodes_apart(tmp_path, monkeypatch, mode, to_file, every):
+    # every write but the last ends at the first leaf at least 5000 nodes after the last
+    # write's end (the root, at first), if not sooner: at the default cadence, and between
+    # checkpoints that come every 7000 nodes
+    p = 13  # 11335 nodes in plain mode, 23907 in plus mode
+    indices = [index for index, _ in indexed_leaves(p, mode)]
+    out, sink, saved = tmp_path / "o.jsonl", SpySink(), []
+    if to_file:
+        def spy_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            if path == str(out):
+                write = fh.write
+                fh.write = lambda text: sink.write(text) or write(text)
+            return fh
+
+        monkeypatch.setattr(search, "open", spy_open, raising=False)
+        monkeypatch.setattr(search, "save_checkpoint", lambda path, state: saved.append(state))
+        run_enumeration(p, mode=mode, classify_records=True, out_path=str(out),
+                        checkpoint_path=str(tmp_path / "c.json"), **every)
+    else:
+        run_enumeration(p, mode=mode, classify_records=True, out_stream=sink)
+    assert len(saved) == (0 if not every else 1 if mode == "plain" else 3)
+    writes = [text.count("\n") for text in sink.writes if text]
+    assert len(writes) > 2
+    last, start = 1, 0
+    for count in writes:
+        lines = indices[start:start + count]
+        assert all(index < last + 5000 for index in lines[:-1])
+        last, start = lines[-1], start + count
+    assert start == len(indices)
+
+
 def test_run_enumeration_plus_mode(tmp_path):
     out = tmp_path / "p6plus.jsonl"
     summary = run_enumeration(6, mode="plus", out_path=str(out))
