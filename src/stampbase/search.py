@@ -32,7 +32,7 @@ import os
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, repeat
 
 from .basis import Basis, PreconditionError, _record, coverage, first_gap
 from .symmetric import symmetricisable_raw
@@ -254,6 +254,9 @@ class BasisDFS:
 # CPython compiles at most 20 statically nested blocks (here: loops) in one function
 _NESTING = 20
 _KERNELS: dict = {}
+# the index of the lowest set bit of each x, 0 < x < 2^16: a kernel's residue jump at p <= 16.
+# `_kernel` fills it with the first kernel, so that importing the package stays cheap
+_LSB: list = []
 
 
 def _kernel(p: int, total: int, constrained: int, root: int, kind: str | None = None):
@@ -263,7 +266,8 @@ def _kernel(p: int, total: int, constrained: int, root: int, kind: str | None = 
     mask, limit n + 2, free residues and element of every level in locals
     (`v`, `m`, `l`, `f` and `c` with the level's index).  The free
     residues are held doubled, f | f << p, so that `f >> c % p` has the
-    next free residue from c's on at its lowest bit.  A shape with more
+    next free residue from c's on at its lowest bit; at p <= 16 its low p
+    bits index `_LSB` for the jump there.  A shape with more
     levels than `_NESTING` walks its top levels here and hands each subtree
     below them to a kernel rooted deeper, through `yield from`, or through
     a call in a fold's kernel, which is a plain function.  A classifying
@@ -271,9 +275,13 @@ def _kernel(p: int, total: int, constrained: int, root: int, kind: str | None = 
     """
     key = (p, total, constrained, root, kind)
     if key not in _KERNELS:
+        if not _LSB:
+            _LSB.extend(repeat(0, 1 << 16))  # with no temporary as large as the table
+            for k in range(1, 16):
+                _LSB[1 << k::2 << k] = [k] * (1 << 15 - k)
         inner = min(root + _NESTING, total - 1) if total - root + bool(kind) > _NESTING else None
         namespace = {"inner": _kernel(p, total, constrained, inner, kind) if inner else None,
-                     "search": sys.modules[__name__],
+                     "search": sys.modules[__name__], "LSB": _LSB,
                      **_KINDS[kind].names(range(_tops(total)), p if constrained < total else 0)}
         source = _kernel_source(p, total, constrained, root, inner, kind)
         exec(compile(source, f"<kernel {key}>", "exec"), namespace)
@@ -289,7 +297,9 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
     then its coverage with one shift-or, v | m << c: the mask holds bit 0,
     so that covers c, c + a_i and 2c.  Its limit l = n + 2 is the bit
     length of the lowest run of ones in v, and a candidate c >= l ends the
-    level.  Leaves step by 1 on a free level and by p where one residue is
+    level.  A level sets its `f` only if the next level jumps on it, so
+    a kernel may hand an inner one an older `f`, which it never reads.
+    Leaves step by 1 on a free level and by p where one residue is
     left; otherwise they are picked like inner nodes.
     The entry `_KINDS[kind]` gives the rest: the head of a kernel that
     walks the leaves, and the code of a leaf after its test c < l, from
@@ -314,7 +324,10 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
         lines.extend("    " * depth + text for text in texts)
 
     def jump(depth, c):  # the next candidate from c on whose residue is still free
-        emit(depth, f"a = {free} >> {c} % {p}", f"{c} += (a & -a).bit_length() - 1")
+        if p <= 16:  # the lowest set bit of the p-bit window, which `_LSB` covers
+            emit(depth, f"{c} += LSB[{free} >> {c} % {p} & {(1 << p) - 1}]")
+        else:
+            emit(depth, f"a = {free} >> {c} % {p}", f"{c} += (a & -a).bit_length() - 1")
 
     def trip(k):
         return ["if visited > cap:", f"    raise dfs._trip(visited, (1, {upto(k)}))"]
@@ -328,7 +341,7 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
         emit(depth, f"if c{k} >= l{k - 1}:", "    break", "visited += 1",
              f"m{k} = m{k - 1} | 1 << c{k}", f"v{k} = v{k - 1} | m{k} << c{k}",
              f"l{k} = (v{k} ^ (v{k} + 1)).bit_length()")
-        if k < constrained:
+        if k + 1 < constrained:  # the next level jumps to a free residue
             emit(depth, f"f{k} = {free} ^ ({1 | 1 << p} << c{k} % {p})")
             free = f"f{k}"
         emit(depth, *trip(k))
@@ -339,8 +352,8 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
             emit(depth, f"c{k + 1} = c{k} + 1")
     if inner is None:  # the leaves, from c<leaf> on
         c, q, at = f"c{leaf}", leaf - 1, f"(1, {upto(leaf)})"
-        if step == p:  # the last free residue r, whose top copy is bit r + p
-            emit(depth, f"{c} += ({free}.bit_length() - 1 - {c}) % {p}")
+        if step == p:  # to the last free residue
+            jump(depth, c)
         emit(depth, "while True:")
         if not step:
             jump(depth + 1, c)
@@ -781,6 +794,8 @@ def run_enumeration(
     if threads > 1 and (checkpoint_path or node_budget is not None):
         # a record stream that can stop part way runs serially, so it stops where one walk does
         raise PreconditionError("a checkpoint or a node budget requires a single-threaded run")
+    if out_path is None and out_stream is None:
+        raise PreconditionError("the records need a file (out_path) or a stream (out_stream)")
     if checkpoint_path and out_path is None:
         # stdout cannot be cut back to a checkpoint's count, so a resume would repeat records
         raise PreconditionError("checkpointing needs a record file (--out)")

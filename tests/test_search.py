@@ -4,6 +4,8 @@ import inspect
 import json
 import os
 import pickle
+import subprocess
+import sys
 import tempfile
 from collections import Counter, defaultdict
 from types import ModuleType
@@ -141,6 +143,43 @@ def walk_digest(p, total, budgets):
     return runs
 
 
+def walk_sha(p, total):
+    """sha256 of a yield walk's leaves with state(), leaf_cov, leaf_mask and visited, of each
+    fold's list and visited, and of two budget trips with the error's visited and state()."""
+    digest = hashlib.sha256()
+
+    def drain(dfs):
+        try:
+            for elems in dfs:
+                digest.update(repr((elems, dfs.state(), dfs.leaf_cov, dfs.leaf_mask)).encode())
+        except BudgetExceededError as err:
+            digest.update(repr(("trip", err.visited, dfs.state())).encode())
+        digest.update(repr(dfs.visited).encode())
+
+    drain(BasisDFS(p, total, constrained=p - 1))
+    for kind in FOLDS:
+        walk = BasisDFS(p, total, constrained=p - 1)
+        digest.update(repr((walk.fold(kind), walk.visited)).encode())
+    for budget in (1000, 100000):
+        drain(BasisDFS(p, total, constrained=p - 1, node_budget=budget))
+    return digest.hexdigest()
+
+
+# `walk_sha` as the kernels gave it when every residue jump called int.bit_length(); p = 16 is
+# the largest p whose jump looks up `search._LSB`, and p = 17 keeps the bit trick.  Only a
+# plus walk jumps by p - 1, to bit 15 of the window at p = 16, after its p-basis level's first
+# element
+@pytest.mark.parametrize("p, total, sha", [
+    (16, 15, "42650cc274cfa49ec6b5ff89dbeabb0224a2381e2c1e9e2456877e780cf5b081"),
+    pytest.param(16, 16, "fc8ec1383bdc628c43bc1dc8af36b01a9526c21e5f7ea8a452096d53e7053457",
+                 marks=pytest.mark.stretch),
+    pytest.param(17, 16, "3c250582fa2889836e1911655d27f6ae2e7c9b754c6e9b538c3808b6dd31e8dd",
+                 marks=pytest.mark.stretch),
+])
+def test_walks_on_each_side_of_the_table_are_unchanged(p, total, sha):
+    assert walk_sha(p, total) == sha
+
+
 @pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
 @pytest.mark.parametrize("p", range(8, 13))
 def test_chained_kernels_walk_like_one(monkeypatch, p, extra):
@@ -187,11 +226,12 @@ def test_a_shape_compiles_once(monkeypatch):
 
 
 # sha256 of the yield walk's source, taken when every kernel's node step set its mask
-# first, held its free residues doubled and its limit as n + 2
+# first, held its free residues doubled and its limit as n + 2, and a kernel at p <= 16
+# found the next free residue in `search._LSB`
 KERNEL_SOURCES = {
-    (8, 7, 7, 1, None): "372ef65c6a86f102eb092d715899b7291d500f670330c176c644e67cffc1d2c0",
-    (9, 9, 8, 1, None): "f2301ae67dda9c79d6a2f0497c47b8795c52b430ef5ddcbe5cbdba188836b6b2",
-    (12, 11, 11, 4, None): "dba27ad2e15558e16fbf7c6c9003f71e61833744c9ec0455e5a702109e587480",
+    (8, 7, 7, 1, None): "0c57b8554dc0b5adb5be7c444e3245d604c76cfafcec7d8d3b0b54ba9e21828c",
+    (9, 9, 8, 1, None): "b9e9b72f03037fde6fa9eea726fe5962487038dd0dc6984f81bb4ff9c1d5e5c9",
+    (12, 11, 11, 4, None): "fe23888f572c789da48a0512f1c76c3563deb41d1bfde8660178b267036c6d58",
     (23, 22, 22, 1, 21): "1cee89675304e747bb74f192da876f5d1a39b2fdcaa1856bf575d02a77d2b91e",
 }
 
@@ -204,9 +244,9 @@ def test_the_yield_walk_source_is_pinned(shape):
 
 # sha256 of the census tally's source, taken with the same node step
 TALLY_SOURCES = {
-    (8, 7, 7, 1, None): "ddb9206c38900ae5db57158b6d5c0d6a5f12c00ba98733240bcdc10e5f501606",
-    (12, 11, 11, 4, None): "fd8057e458980f6c432a1ace2184059ca8176985412f3f1cb0e8049fa48be295",
-    (15, 14, 14, 1, None): "7c67dcf5e183625331cdedd92c19bdb8c1c6f7414a7a2467d6b46bc6fc9102c4",
+    (8, 7, 7, 1, None): "a29742cc935a75850808102ad59e18128c179bc971b84762eb77afaa63475c0d",
+    (12, 11, 11, 4, None): "21437aaf7956b42b52db4e9a8288f22abde1d4686a8993d27f47644c0df2babc",
+    (15, 14, 14, 1, None): "0492e826759e0668e140a805bf4dd3c59af95d619d116798e0dd40ae0a47c77e",
     (23, 22, 22, 1, 21): "1cf31adcd19fb4910fa2fe3912c519c8cb9d5529f76295fbd52daac6223859c7",
 }
 
@@ -219,10 +259,10 @@ def test_the_tally_source_is_pinned(shape):
 
 # sha256 of the maximal fold's source, taken with the same node step
 MAXIMAL_SOURCES = {
-    (14, 13, 13, 1, None): "c8e1f8f9802cb5c1e6e970eadf3fb59ba53de80d4367b0b15af01fd55bae70c8",
-    (14, 14, 13, 1, None): "21d211332547becd62582ece7ed1b1014595bd9ae9df675652bd78fc0ef49ca1",
-    (12, 12, 11, 4, None): "4030955c9660640c0d8bd2eaa4724e24da973d15198480f9a51482a962052ecf",
-    (22, 22, 21, 1, 21): "e5b0c5a485f487eb74d23953d7b1d49e9f4759ee1f880583503c62151654d0a9",
+    (14, 13, 13, 1, None): "aa1fcc2792234ff65b37802c3e99e751b4e982407960323c4cf46125d6d4371b",
+    (14, 14, 13, 1, None): "b469d2a1cad327339ba2ba0822713f8e5041b88c609b3d5f3cbd343dada17483",
+    (12, 12, 11, 4, None): "37b8a9708d6578ae7c1fcf2cf3a7855112eae9b5ad0133ea1b4dd688f533186a",
+    (22, 22, 21, 1, 21): "33faf1888ebbfd03946db5074ad8b4dbd34c1a946c87b82052448c02cda7c861",
     (22, 22, 21, 21, None): "1367a22a7c3136e6ffc424af2c9e519f7c7d291f44d9672eb3c6f9049aff092e",
 }
 
@@ -236,11 +276,11 @@ def test_the_maximal_source_is_pinned(shape):
 # sha256 of the records fold's source, taken with the same node step; a chained
 # shape's outer kernel only calls the inner one, so it is the census tally's
 RECORDS_SOURCES = {
-    (8, 7, 7, 1, None): "31b41c63b63cbc9714e8877029c8d31451ccdc94fab029e651e13d092cd20172",
-    (9, 9, 8, 1, None): "fc269c38a7c9c9a0b7ba5769a3a4e37c2e2d1a9a2d7046f036a18bd30f82b4a7",
-    (12, 11, 11, 4, None): "b7c61f9b7c31717e12cede987e5180a016dff367bec044813dbb4d91741aaf11",
+    (8, 7, 7, 1, None): "c87d1e0cc45b825b71bd640974e3602ecfba914df87a70be15c07bf7202851f1",
+    (9, 9, 8, 1, None): "0870a468dde99f2f8eb00dae97fa5c13e58751eb649bdc61fe70351d914b818c",
+    (12, 11, 11, 4, None): "734ad6c61419b3a4b5a0fb9aeadf220906c3986bb4860b5ad798521e301012ff",
     (23, 22, 22, 1, 21): "1cf31adcd19fb4910fa2fe3912c519c8cb9d5529f76295fbd52daac6223859c7",
-    (23, 22, 22, 21, None): "0653ab8f0c01316f1c69c45542fba5847106dd71c106c0e00dc6b11a369619b6",
+    (23, 22, 22, 21, None): "c60e7c509db6b07ca5fecc97cdd83de42a8231a1717365115abc406e54a16f6b",
 }
 
 
@@ -253,11 +293,11 @@ def test_the_records_source_is_pinned(shape):
 # sha256 of the range fold's source, taken with the same node step; a chained shape's
 # outer kernel only calls the inner one, so it is the census tally's
 RANGE_SOURCES = {
-    (8, 7, 7, 1, None): "3a082bc50c870c02e10bf305ea8ef343ce932856ed39adb116bc3cd2d4e020a6",
-    (12, 11, 11, 4, None): "745b44deb7543b4868ec9b2689cb131d08843a9b522f5f8c2b77f8e492459b40",
-    (15, 14, 14, 1, None): "9dd931a66cf010a64d9bebb368da70b01108ebfe1a9f01ffe7f1c5f10618f5af",
+    (8, 7, 7, 1, None): "b09e41982ac128b5c05943952665d836a29a3b2cbd53b008f86d7bf441b2a6dd",
+    (12, 11, 11, 4, None): "f44f2a7d59ea9f0c6e4f716863b075b6cf2db6263b0650f2b645f3d02979902b",
+    (15, 14, 14, 1, None): "9e9288dd9f471d42b54df216e33f4586ccd31090171539a0020b840a303e874c",
     (23, 22, 22, 1, 21): "1cf31adcd19fb4910fa2fe3912c519c8cb9d5529f76295fbd52daac6223859c7",
-    (23, 22, 22, 21, None): "337592f014581269234484f57daaa9293dbd34b683eb2eaa01a5328e465504dd",
+    (23, 22, 22, 21, None): "1cc376788ffd7edb209b3b821e0a10ef5091a8cc4162217534b903aabd075864",
 }
 
 
@@ -269,7 +309,7 @@ def test_the_range_source_is_pinned(shape):
 
 # sha256 over the source of every kernel a search at p = 3..30 builds: both modes, roots 1..4,
 # each kind, each chained inner kernel, and the yield walks of the subtree splits
-ALL_SOURCES = "84ee23352b710d975889f41625a57c55ce0fd7f22cbb24d237cfff45b0f2279c"
+ALL_SOURCES = "80d30af1fc941dc5a178d7bf583b7a3637e195049e6abdffe2916bba538cd79d"
 
 
 def test_every_kernel_source_is_pinned():
@@ -296,6 +336,34 @@ def test_every_kernel_source_is_pinned():
                     add(p, root, root, 1, None)
     assert len(shapes) == 1441
     assert digest.hexdigest() == ALL_SOURCES
+
+
+def test_the_lowest_bit_table_is_built_with_the_first_kernel():
+    # importing the package leaves it unbuilt, which keeps the benchmark's set-up time
+    script = ("import stampbase.cli\nfrom stampbase import search\nprint(len(search._LSB))\n"
+              "search._kernel(5, 4, 4, 1)\nprint(len(search._LSB))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(stampbase.__path__[0]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n65536\n", "")
+    search._kernel(5, 4, 4, 1)
+    assert len(search._LSB) == 1 << 16
+    assert all(search._LSB[x] == (x & -x).bit_length() - 1 for x in range(1, 1 << 16))
+
+
+@pytest.mark.parametrize("p", range(3, 31))
+def test_kernels_look_up_the_table_exactly_up_to_p_16(p):
+    # a larger p keeps the bit trick, as its p-bit window does not fit the table
+    for total in (p - 1, p):
+        for kind in (None, *FOLDS):
+            inner = min(1 + search._NESTING, total - 1) if total - 1 + bool(kind) > search._NESTING else None
+            sources = [search._kernel_source(p, total, p - 1, 1, inner, kind)]
+            if inner:
+                sources.append(search._kernel_source(p, total, p - 1, inner, None, kind))
+            for source in sources:
+                assert "(a & -a)" not in source if p <= 16 else "LSB[" not in source
+            assert ("LSB[" in sources[0]) == (p <= 16)
 
 
 def tallied(total, leaves):
@@ -847,6 +915,16 @@ def test_maxima_record(p, v1, v2):
     assert (rec.v1, rec.v2) == (v1, v2)
     assert rec.ratio_v1 == pytest.approx(v1 / p)
     assert rec.ratio_v2 == pytest.approx(v2 / v1)
+
+
+def test_run_enumeration_needs_a_sink(monkeypatch):
+    # without one it walked up to its first write, and failed there on None.write
+    for mode in ("plain", "plus"):
+        with pytest.raises(PreconditionError, match="out_path.*out_stream"):
+            run_enumeration(6, mode)
+    monkeypatch.setattr(search, "BasisDFS", None)  # rejected before any walk starts
+    with pytest.raises(PreconditionError, match="out_path.*out_stream"):
+        run_enumeration(6)
 
 
 def test_run_enumeration_output(tmp_path):
