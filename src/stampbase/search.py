@@ -254,6 +254,7 @@ class BasisDFS:
 # CPython compiles at most 20 statically nested blocks (here: loops) in one function
 _NESTING = 20
 _KERNELS: dict = {}
+_NAMES: dict = {}  # (kind, levels, tail shift) -> the globals of the kind's kernels
 # the index of the lowest set bit of each x, 0 < x < 2^16: a kernel's residue jump at p <= 16.
 # `_kernel` fills it with the first kernel, so that importing the package stays cheap
 _LSB: list = []
@@ -272,6 +273,10 @@ def _kernel(p: int, total: int, constrained: int, root: int, kind: str | None = 
     below them to a kernel rooted deeper, through `yield from`, or through
     a call in a fold's kernel, which is a plain function.  A classifying
     leaf test nests one loop more, so every fold counts one more level.
+    The globals that `_KINDS[kind].names` adds are built once per kind,
+    level count and tail shift, in `_NAMES`, and every kernel of a chain
+    or of a walk's path shares them: the records fold's are about p^2
+    strings.
     """
     key = (p, total, constrained, root, kind)
     if key not in _KERNELS:
@@ -279,10 +284,12 @@ def _kernel(p: int, total: int, constrained: int, root: int, kind: str | None = 
             _LSB.extend(repeat(0, 1 << 16))  # with no temporary as large as the table
             for k in range(1, 16):
                 _LSB[1 << k::2 << k] = [k] * (1 << 15 - k)
+        shape = (kind, total, p if constrained < total else 0)  # the last is the tail shift
+        if shape not in _NAMES:
+            _NAMES[shape] = _KINDS[kind].names(range(_tops(total)), shape[2])
         inner = min(root + _NESTING, total - 1) if total - root + bool(kind) > _NESTING else None
         namespace = {"inner": _kernel(p, total, constrained, inner, kind) if inner else None,
-                     "search": sys.modules[__name__], "LSB": _LSB,
-                     **_KINDS[kind].names(range(_tops(total)), p if constrained < total else 0)}
+                     "search": sys.modules[__name__], "LSB": _LSB, **_NAMES[shape]}
         source = _kernel_source(p, total, constrained, root, inner, kind)
         exec(compile(source, f"<kernel {key}>", "exec"), namespace)
         _KERNELS[key] = namespace["walk"]
@@ -297,21 +304,30 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
     then its coverage with one shift-or, v | m << c: the mask holds bit 0,
     so that covers c, c + a_i and 2c.  Its limit l = n + 2 is the bit
     length of the lowest run of ones in v, and a candidate c >= l ends the
-    level.  A level sets its `f` only if the next level jumps on it, so
-    a kernel may hand an inner one an older `f`, which it never reads.
-    Leaves step by 1 on a free level and by p where one residue is
-    left; otherwise they are picked like inner nodes.
+    level.  The level with one free residue left, index p - 2 when the
+    first p - 1 levels are constrained, steps by p: its parent looks up
+    the first candidate, the next free residue after the parent's own in
+    the free set the parent was picked from, and only a kernel rooted
+    there jumps, once, from its cursor.  A level sets its `f` only if the
+    next level jumps on it, so a kernel may hand an inner one an older
+    `f`, which it never reads.  Other leaves step by 1 on a free level
+    and are picked like inner nodes on a constrained one.  A leaf test
+    checks the bound on b_0 and then, for each of the three elements c_j
+    below b_0, that b_0 + c_j - p is covered below b_0: past p, c_j is
+    alone in its residue class, so c_j - p is no spread offset of
+    `classify_raw`'s window; below p the bit is under b_0 <= n + 1.
     The entry `_KINDS[kind]` gives the rest: the head of a kernel that
     walks the leaves, and the code of a leaf after its test c < l, from
     these names: `p`, `step`, the leaf's element `c` and parent level `q`,
     its tuple `at`, the budget check `trip` and `count`, which counts the
-    node first, and the classification as `classify_raw` does it: `test`,
-    the bound on b_0 and then the window test, with `sym`,
-    `symmetricisable_raw` looked up through this module when it is called,
-    to run under its last line.
+    node first, and the classification as `classify_raw` gives it: `test`,
+    the bound on b_0 with the three bit checks and then the window test,
+    with `sym`, `symmetricisable_raw` looked up through this module when
+    it is called, to run under its last line.
     """
     leaf = total - 1  # the index of a leaf's last element
-    step = 1 if constrained <= leaf else p if total == p - 1 else 0
+    one = p - 2 if constrained == p - 1 else None  # the level with one free residue left
+    step = 1 if constrained <= leaf else p if leaf == one else 0
     free, entry = f"f{root - 1}", _KINDS[kind]
 
     def upto(k):  # "c1, ..., ck, ", for a tuple display or an argument list
@@ -323,43 +339,52 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
     def emit(depth, *texts):
         lines.extend("    " * depth + text for text in texts)
 
-    def jump(depth, c):  # the next candidate from c on whose residue is still free
+    def jump(depth, c, after=None):
+        # to the next candidate from c on whose residue is still free, or, given the parent's
+        # element `after`, to the next free residue after its own in `free`, its free set
+        at, window = (c, (1 << p) - 1) if after is None else (after, (1 << p) - 2)
         if p <= 16:  # the lowest set bit of the p-bit window, which `_LSB` covers
-            emit(depth, f"{c} += LSB[{free} >> {c} % {p} & {(1 << p) - 1}]")
+            gap = f"LSB[{free} >> {at} % {p} & {window}]"
         else:
-            emit(depth, f"a = {free} >> {c} % {p}", f"{c} += (a & -a).bit_length() - 1")
+            emit(depth, f"a = {free} >> {at} % {p}{'' if after is None else ' ^ 1'}")
+            gap = "(a & -a).bit_length() - 1"
+        emit(depth, f"{c} += {gap}" if after is None else f"{c} = {after} + {gap}")
 
     def trip(k):
         return ["if visited > cap:", f"    raise dfs._trip(visited, (1, {upto(k)}))"]
 
+    if root == one:  # a kernel rooted at the one-residue level jumps from its cursor, once
+        jump(1, f"c{root}")
     depth = 1
     for k in range(root, leaf if inner is None else inner):
         emit(depth, "while True:")
         depth += 1
-        if k < constrained:
+        if k < constrained and k != one:
             jump(depth, f"c{k}")
         emit(depth, f"if c{k} >= l{k - 1}:", "    break", "visited += 1",
              f"m{k} = m{k - 1} | 1 << c{k}", f"v{k} = v{k - 1} | m{k} << c{k}",
              f"l{k} = (v{k} ^ (v{k} + 1)).bit_length()")
-        if k + 1 < constrained:  # the next level jumps to a free residue
+        if k + 1 < constrained and (k + 1 != one or k + 1 == inner):  # the next level jumps
             emit(depth, f"f{k} = {free} ^ ({1 | 1 << p} << c{k} % {p})")
             free = f"f{k}"
         emit(depth, *trip(k))
         if k + 1 == inner:
             emit(depth, f"visited = {'' if kind else 'yield from '}inner(dfs, visited, cap, "
                         f"c{k} + 1, {upto(k)}v{k}, m{k}, l{k}, {free})")
+        elif k + 1 == one:
+            jump(depth, f"c{k + 1}", f"c{k}")
         else:
             emit(depth, f"c{k + 1} = c{k} + 1")
     if inner is None:  # the leaves, from c<leaf> on
         c, q, at = f"c{leaf}", leaf - 1, f"(1, {upto(leaf)})"
-        if step == p:  # to the last free residue
-            jump(depth, c)
         emit(depth, "while True:")
         if not step:
             jump(depth + 1, c)
         emit(depth + 1, f"if {c} >= l{q}:", "    break")
-        # the bound is b_0 <= e + p // 2 on a p-basis and b_0 <= e + p on a p+-basis
-        test = [f"if {c} <= {f'c{q}' if q else 1} + {p // 2 if step == p else p}:",
+        # the bound is b_0 <= e + p // 2 on a p-basis and b_0 <= e + p on a p+-basis, and
+        # each of the three elements c_j below b_0 needs b_0 + c_j - p covered below b_0
+        bits = "".join(f" and (v{q} >> {c} + c{j} - {p}) & 1" for j in range(q, max(q - 3, 0), -1))
+        test = [f"if {c} <= {f'c{q}' if q else 1} + {p // 2 if step == p else p}{bits}:",
                 f"    s, w = m{q}, {p}", f"    while w < {c}:", "        s |= s << w",
                 "        w <<= 1", f"    w = (1 << ({c} - 1) // {p} * {p} + 1) - 2",
                 f"    if ((v{q} >> {c}) | s) & w == w:"]
@@ -368,7 +393,7 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
             test=test, sym=f"search.symmetricisable_raw({at}, m{q} | 1 << {c}, {p})"))
         emit(depth + 1, f"{c} += {step or 1}")
     for k in range(depth - 1, 0, -1):
-        emit(k + 1, f"c{root + k - 1} += 1")
+        emit(k + 1, f"c{root + k - 1} += {p if root + k - 1 == one else 1}")
     emit(1, "dfs.visited = visited", "dfs._at = ()", "return visited")
     return "\n".join(lines) + "\n"
 

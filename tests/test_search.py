@@ -40,7 +40,8 @@ from stampbase.symmetric import closure_profile, is_symmetricisable_plus
 from conftest import classified_leaves
 from frozen import CENSUS, CLASSIFICATION, RANGE_COMPARISON
 from oracles import (
-    brute_range, dead_roots, naive_p_bases, node_liveness, search_nodes, search_tree,
+    brute_extension_profile, brute_range, dead_roots, naive_p_bases, node_liveness, search_nodes,
+    search_tree,
 )
 
 FOLDS = ("tally", "maximal", "records", "range")  # every kind of BasisDFS.fold
@@ -226,12 +227,13 @@ def test_a_shape_compiles_once(monkeypatch):
 
 
 # sha256 of the yield walk's source, taken when every kernel's node step set its mask
-# first, held its free residues doubled and its limit as n + 2, and a kernel at p <= 16
-# found the next free residue in `search._LSB`
+# first, held its free residues doubled and its limit as n + 2, a kernel at p <= 16
+# found the next free residue in `search._LSB`, the one-residue level stepped by p from
+# a first candidate its parent looked up, and a leaf test began with three one-bit checks
 KERNEL_SOURCES = {
-    (8, 7, 7, 1, None): "0c57b8554dc0b5adb5be7c444e3245d604c76cfafcec7d8d3b0b54ba9e21828c",
-    (9, 9, 8, 1, None): "b9e9b72f03037fde6fa9eea726fe5962487038dd0dc6984f81bb4ff9c1d5e5c9",
-    (12, 11, 11, 4, None): "fe23888f572c789da48a0512f1c76c3563deb41d1bfde8660178b267036c6d58",
+    (8, 7, 7, 1, None): "1fcde6aebbf527436a9b69872aa82dd8c001270cfe33d67da91ad737b262fe84",
+    (9, 9, 8, 1, None): "60b281072eca290a688db1564c1661479e783799014ebb7adfe610c1dff40d1d",
+    (12, 11, 11, 4, None): "ed60ed6a8fa3e8a8b422ef0fdeb88d8f056925a1f5869d361b7d28c4725bd591",
     (23, 22, 22, 1, 21): "1cee89675304e747bb74f192da876f5d1a39b2fdcaa1856bf575d02a77d2b91e",
 }
 
@@ -242,11 +244,11 @@ def test_the_yield_walk_source_is_pinned(shape):
     assert hashlib.sha256(source).hexdigest() == KERNEL_SOURCES[shape]
 
 
-# sha256 of the census tally's source, taken with the same node step
+# sha256 of the census tally's source, taken with the same kernel steps
 TALLY_SOURCES = {
-    (8, 7, 7, 1, None): "a29742cc935a75850808102ad59e18128c179bc971b84762eb77afaa63475c0d",
-    (12, 11, 11, 4, None): "21437aaf7956b42b52db4e9a8288f22abde1d4686a8993d27f47644c0df2babc",
-    (15, 14, 14, 1, None): "0492e826759e0668e140a805bf4dd3c59af95d619d116798e0dd40ae0a47c77e",
+    (8, 7, 7, 1, None): "199db70b16a98c87592f1f411f4ea581c4e448f1502d727c30f40db93a9b391e",
+    (12, 11, 11, 4, None): "6ca5cfe12744d0895294ced2f9c9f7320eefc79c348e747fb61385c4bc5e02fb",
+    (15, 14, 14, 1, None): "c6f6744f8a2d34e4c8a56f1b85bb5fd9647b4cb527688369e8f2a96847f01c4a",
     (23, 22, 22, 1, 21): "1cf31adcd19fb4910fa2fe3912c519c8cb9d5529f76295fbd52daac6223859c7",
 }
 
@@ -257,13 +259,13 @@ def test_the_tally_source_is_pinned(shape):
     assert hashlib.sha256(source).hexdigest() == TALLY_SOURCES[shape]
 
 
-# sha256 of the maximal fold's source, taken with the same node step
+# sha256 of the maximal fold's source, taken with the same kernel steps
 MAXIMAL_SOURCES = {
-    (14, 13, 13, 1, None): "aa1fcc2792234ff65b37802c3e99e751b4e982407960323c4cf46125d6d4371b",
-    (14, 14, 13, 1, None): "b469d2a1cad327339ba2ba0822713f8e5041b88c609b3d5f3cbd343dada17483",
-    (12, 12, 11, 4, None): "37b8a9708d6578ae7c1fcf2cf3a7855112eae9b5ad0133ea1b4dd688f533186a",
-    (22, 22, 21, 1, 21): "33faf1888ebbfd03946db5074ad8b4dbd34c1a946c87b82052448c02cda7c861",
-    (22, 22, 21, 21, None): "1367a22a7c3136e6ffc424af2c9e519f7c7d291f44d9672eb3c6f9049aff092e",
+    (14, 13, 13, 1, None): "e10077d932cf02c2c21075aa77cff680458fd2035a9fb2511cab833b6703d78c",
+    (14, 14, 13, 1, None): "1180203ba5319cf4764ce34970927f3580e502cd16445ed484111d773a9455a8",
+    (12, 12, 11, 4, None): "3f389f8609d198edf43abd823bf5b2315aa0edf94b14cb18f6de68318154ac78",
+    (22, 22, 21, 1, 21): "628c35f48077ce939863b62d88d81b2a857b43fc0f50618bd8aaa0845cf5bb84",
+    (22, 22, 21, 21, None): "646401c51282a037701d3726db9ed6ed0c03b4dce513907e2f4163f188fdbc2f",
 }
 
 
@@ -273,14 +275,14 @@ def test_the_maximal_source_is_pinned(shape):
     assert hashlib.sha256(source).hexdigest() == MAXIMAL_SOURCES[shape]
 
 
-# sha256 of the records fold's source, taken with the same node step; a chained
+# sha256 of the records fold's source, taken with the same kernel steps; a chained
 # shape's outer kernel only calls the inner one, so it is the census tally's
 RECORDS_SOURCES = {
-    (8, 7, 7, 1, None): "c87d1e0cc45b825b71bd640974e3602ecfba914df87a70be15c07bf7202851f1",
-    (9, 9, 8, 1, None): "0870a468dde99f2f8eb00dae97fa5c13e58751eb649bdc61fe70351d914b818c",
-    (12, 11, 11, 4, None): "734ad6c61419b3a4b5a0fb9aeadf220906c3986bb4860b5ad798521e301012ff",
+    (8, 7, 7, 1, None): "f28a4ed4042458fc51fef64ef218f4c2da392e2849f6c8033845c0b40fbdeace",
+    (9, 9, 8, 1, None): "459661a13696badc5dfef2fd786478ebc6dffad9063c865c251ff8753b2eea5c",
+    (12, 11, 11, 4, None): "4e1fa1b7526e3b072f66a80c737cf9aff76723bd3037fda9b903113545258753",
     (23, 22, 22, 1, 21): "1cf31adcd19fb4910fa2fe3912c519c8cb9d5529f76295fbd52daac6223859c7",
-    (23, 22, 22, 21, None): "c60e7c509db6b07ca5fecc97cdd83de42a8231a1717365115abc406e54a16f6b",
+    (23, 22, 22, 21, None): "17a5a1fd65c6b9c510c5211abea78ffb4efe4b68a8d1338bad75423dc234bba3",
 }
 
 
@@ -290,12 +292,12 @@ def test_the_records_source_is_pinned(shape):
     assert hashlib.sha256(source).hexdigest() == RECORDS_SOURCES[shape]
 
 
-# sha256 of the range fold's source, taken with the same node step; a chained shape's
+# sha256 of the range fold's source, taken with the same kernel steps; a chained shape's
 # outer kernel only calls the inner one, so it is the census tally's
 RANGE_SOURCES = {
-    (8, 7, 7, 1, None): "b09e41982ac128b5c05943952665d836a29a3b2cbd53b008f86d7bf441b2a6dd",
-    (12, 11, 11, 4, None): "f44f2a7d59ea9f0c6e4f716863b075b6cf2db6263b0650f2b645f3d02979902b",
-    (15, 14, 14, 1, None): "9e9288dd9f471d42b54df216e33f4586ccd31090171539a0020b840a303e874c",
+    (8, 7, 7, 1, None): "dbb74fb365f5bd9bd9eabee92b6ee16fc20124186290480c2f10e53647ba8417",
+    (12, 11, 11, 4, None): "88f9de62777ccab8cc2e8636f04074081dc745cc0023d2def911d3dbbe4c8553",
+    (15, 14, 14, 1, None): "0090eaf43d56f99718cda6fb96a9ea87d8c981bb1ead4d1cb340aec230e9cb49",
     (23, 22, 22, 1, 21): "1cf31adcd19fb4910fa2fe3912c519c8cb9d5529f76295fbd52daac6223859c7",
     (23, 22, 22, 21, None): "1cc376788ffd7edb209b3b821e0a10ef5091a8cc4162217534b903aabd075864",
 }
@@ -309,7 +311,7 @@ def test_the_range_source_is_pinned(shape):
 
 # sha256 over the source of every kernel a search at p = 3..30 builds: both modes, roots 1..4,
 # each kind, each chained inner kernel, and the yield walks of the subtree splits
-ALL_SOURCES = "80d30af1fc941dc5a178d7bf583b7a3637e195049e6abdffe2916bba538cd79d"
+ALL_SOURCES = "fb978bc97502e291795776e6d04be96fd9c37b9265e4969f15aebf91f1eaa2dc"
 
 
 def test_every_kernel_source_is_pinned():
@@ -452,6 +454,17 @@ def test_chained_records_kernels_pause_like_one(tmp_path, monkeypatch, mode):
         search._KERNELS[10, total, 9, 4, "records"])
 
 
+def test_a_chained_records_walk_builds_its_element_text_once(monkeypatch):
+    # the text takes about p^2 / 2 strings, which every kernel of the chain shares, even
+    # compiled deepest first, as the path of a restored walk compiles them
+    monkeypatch.setattr(search, "_KERNELS", {})
+    kernels = [search._kernel(45, 44, 44, root, "records") for root in (41, 21, 1)]
+    assert [kernel.__globals__["inner"] for kernel in kernels] == [None, *kernels[:2]]
+    for name in ("digits", "tails"):
+        assert len({id(kernel.__globals__[name]) for kernel in kernels}) == 1
+    assert len(kernels[0].__globals__["digits"]) == search._tops(44)
+
+
 @pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
 @pytest.mark.parametrize("p", range(8, 11))
 def test_a_fold_restored_at_a_leaf_gathers_like_the_yield_walk(p, extra):
@@ -539,6 +552,21 @@ def test_the_top_bound_rejects_no_extensible_leaf(p, extra):
             rejected += 1
             assert not is_extensible(Basis(elems), p).extensible, elems
     assert rejected or p < 8  # the bound first bites at p = 5 plain and p = 8 plus
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
+@pytest.mark.parametrize("p", range(5, 12))
+def test_the_leaf_bits_reject_no_extensible_leaf(p, extra):
+    # the kernels' one-bit checks: for each of the three elements a just below b_0, the
+    # offset a - p is no spread offset, so b_0 + a - p must be a sum of two elements below b_0
+    rejected = 0
+    for elems in search_tree(p, p - 1 + extra, p - 1)[0]:
+        b0, below = elems[-1], (0, *elems[:-1])
+        sums = {x + y for x in below for y in below}
+        if any(b0 + a - p not in sums for a in elems[-4:-1]):
+            rejected += 1
+            assert not all(brute_extension_profile(elems, p, (b0 - 1) // p)), elems
+    assert rejected or p < 7
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
