@@ -141,7 +141,11 @@ class Basis:
         parts = [part.strip() for part in text.split(",")]
         if not all(part.isascii() and part.isdigit() for part in parts):
             raise BasisError(f"unparseable basis text {text!r}")
-        return cls(tuple(map(int, parts)))
+        try:
+            elements = tuple(map(int, parts))
+        except ValueError:  # more digits than int() converts, sys.get_int_max_str_digits()
+            raise BasisError(f"unparseable basis text {text!r}") from None
+        return cls(elements)
 
     def to_text(self) -> str:
         return ",".join(str(a) for a in self.elements)
@@ -189,8 +193,18 @@ class ReachSet:
 
 
 def basis_range(basis: Basis) -> RangeResult:
-    """Range n(A_k) plus the admissibility verdict n >= a_k."""
-    n = range_from_coverage(coverage(basis.elements)[0])
+    """Range n(A_k) plus the admissibility verdict n >= a_k.
+
+    The coverage grows element by element and stops at the first element
+    above n + 1: every later element, and every sum with one, is larger
+    than that gap, so n is final there, and no bitmask spans the gap.
+    """
+    cov = mask = 1
+    for a in basis.elements:
+        if a > first_gap(cov):
+            break
+        cov, mask = extend_coverage(cov, mask, a)
+    n = range_from_coverage(cov)
     return RangeResult(n=n, admissible=n >= basis.tail)
 
 

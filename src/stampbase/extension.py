@@ -29,6 +29,7 @@ from .basis import (
     Basis,
     PreconditionError,
     _record,
+    basis_range,
     coverage,
     extend_coverage,
     is_p_basis,
@@ -92,13 +93,14 @@ def is_extensible(base: Basis, p: int) -> ExtensionReport:
     b0 = base.tail
     k_star = extension_threshold(b0, p)
     complete = residue_profile(base, p).complete
+    if not basis_range(base).admissible:  # s = -1, with no bitmask as wide as the base's gap
+        return ExtensionReport(False, k_star, -1, complete)
 
     cov, mask = coverage(base.elements)
     s = None
-    for i in range(k_star + 1):
+    for i in range(1, k_star + 1):
         top = b0 + i * p
-        if i > 0:
-            cov, mask = extend_coverage(cov, mask, top)
+        cov, mask = extend_coverage(cov, mask, top)
         if range_from_coverage(cov) < top:
             s = i - 1
             break
@@ -123,10 +125,10 @@ def stohr_sequence(seed: Basis, count: int) -> StohrSequence:
     """Generate `count` greedy continuation terms from an admissible seed."""
     if count < 0:
         raise PreconditionError(f"term count must be >= 0, got {count}")
+    if not basis_range(seed).admissible:  # before a bitmask as wide as the seed's gap
+        raise PreconditionError("greedy continuation needs an admissible seed")
     cov, mask = coverage(seed.elements)
     n = range_from_coverage(cov)
-    if n < seed.tail:
-        raise PreconditionError("greedy continuation needs an admissible seed")
     terms = []
     prev = seed.tail
     increments = []

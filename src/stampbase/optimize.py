@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .basis import Basis, PreconditionError, _record
 from .search import BasisDFS, _fold, _mode_levels
-from .symmetric import closure_profile
+from .symmetric import closure_profile, closure_range
 
 
 @_record
@@ -85,8 +85,10 @@ def range_table(
     """Closure ranges 2*(2*tail + j*p) at every realizable (k, p).
 
     j = k - 2(p-1) counts arithmetic terms past the mirrored record (in
-    plus mode the two extra mirrored elements absorb two of them).  An
-    entry appears when any maximal basis has an admissible closure there;
+    plus mode the two extra mirrored elements absorb two of them), so each
+    entry is `closure_range(b_0, p, m)` of the records' top b_0 and the
+    closure's m = j terms, or b_0 = tail + p and m = j - 2 in plus mode.
+    An entry appears when any maximal basis has an admissible closure there;
     below the threshold that is read off the profile, above it is automatic.
     """
     tails: dict[int, int] = {}
@@ -101,19 +103,16 @@ def range_table(
                 f"table wants {mode!r} at p={p} and at least one basis"
             )
         tails[p] = mset.tail
-        offset = 0 if mode == "plain" else 2  # m = j - offset
-        admissible_j = set()
+        b0 = mset.bases[0].tail  # the top every maximal basis shares
+        offset = 0 if mode == "plain" else 2  # closure terms m = j - offset
+        admissible_m = set()
         for basis in mset.bases:
             profile = closure_profile(basis, p)
-            m0 = profile.m0
-            admissible_j.update(
-                m + offset for m, ok in enumerate(profile.profile) if ok
-            )
-        j_threshold = m0 + offset
+            admissible_m.update(m for m, ok in enumerate(profile.profile) if ok)
         for k in range(2 * (p - 1), k_max + 1):
-            j = k - 2 * (p - 1)
-            if j >= j_threshold or j in admissible_j:
-                entries[(k, p)] = 2 * (2 * mset.tail + j * p)
+            m = k - 2 * (p - 1) - offset
+            if m >= profile.m0 or m in admissible_m:
+                entries[(k, p)] = closure_range(b0, p, m)
     return RangeTable(mode=mode, k_max=k_max, tails=tails, entries=entries)
 
 

@@ -34,7 +34,7 @@ from collections import namedtuple
 from contextlib import contextmanager
 from itertools import chain, repeat
 
-from .basis import Basis, PreconditionError, _record, coverage, first_gap
+from .basis import Basis, PreconditionError, _record
 from .symmetric import symmetricisable_raw
 
 class BudgetExceededError(RuntimeError):
@@ -121,11 +121,11 @@ class BasisDFS:
         self._ran = False  # set when the walk starts, as a fold or an iteration
         if state is None:
             state = {"prefix": [1], "cursors": [2], "visited": 1}
-        prefix, cursor = self._restore(state)
+        prefix, cursor, frames = self._restore(state)
         self._at = (*prefix, cursor - 1)
-        self._walker = chain.from_iterable(self._path(prefix, cursor))
+        self._walker = chain.from_iterable(self._path(prefix, cursor, frames))
 
-    def _restore(self, state: dict) -> tuple[list[int], int]:
+    def _restore(self, state: dict) -> tuple[list[int], int, list]:
         """Check a frontier, rejecting any that no walk could reach or the budget forbids."""
         p = self.p
         prefix, cursors = state["prefix"], state["cursors"]
@@ -143,20 +143,28 @@ class BasisDFS:
             raise PreconditionError("corrupt state: prefix is deeper than the search")
         if any(type(x) is not int for x in prefix + cursors + [visited]):
             raise PreconditionError("corrupt state: entries must be integers")
+        # the frame of each prefix[:level] as a kernel takes it, built with the kernels' node
+        # step: coverage, element mask, limit n + 2 and the free nonzero residues, doubled
+        v = m = 1
+        l, f = 2, ((1 << p) - 2) * (1 | 1 << p)
+        frames = [(v, m, l, f)]
         for level, c in enumerate(prefix):
-            _, _, limit, free = _frame(prefix[:level], p)
             prev = prefix[level - 1] if level else 0
-            if not prev < c <= limit:
+            if not prev < c < l:
                 raise PreconditionError(
                     f"corrupt state: element {c} at level {level} is outside "
-                    f"({prev}, n + 1 = {limit}]"
+                    f"({prev}, n + 1 = {l - 1}]"
                 )
             r = c % p
-            if level < self.constrained and not (free >> r) & 1:
+            if level < self.constrained and not (f >> r) & 1:
                 raise PreconditionError(
                     f"corrupt state: element {c} at level {level} repeats "
                     f"residue {r} mod {p} or is divisible by it"
                 )
+            m |= 1 << c
+            v |= m << c
+            l, f = (v ^ (v + 1)).bit_length(), f & ~((1 | 1 << p) << r)
+            frames.append((v, m, l, f))
         # levels below min_height - 1 are never resumed, so their cursors are free
         for level in range(max(self.min_height - 1, 0), len(prefix) - 1):
             if cursors[level] != prefix[level + 1] + 1:
@@ -164,11 +172,10 @@ class BasisDFS:
                     f"corrupt state: cursor {cursors[level]} at level {level} "
                     f"does not follow element {prefix[level + 1]}"
                 )
-        limit = _frame(prefix, p)[2]
-        if not prefix[-1] < cursors[-1] <= limit + 1:
+        if not prefix[-1] < cursors[-1] <= l:
             raise PreconditionError(
                 f"corrupt state: last cursor {cursors[-1]} is outside "
-                f"({prefix[-1]}, n + 2 = {limit + 1}]"
+                f"({prefix[-1]}, n + 2 = {l}]"
             )
         if visited < len(prefix):
             raise PreconditionError("corrupt state: fewer nodes visited than the prefix holds")
@@ -182,9 +189,9 @@ class BasisDFS:
             raise BudgetExceededError(visited, self.node_budget)
         if depth < len(prefix):  # the kernel visits the leaf again, and counts it back
             self.visited = visited - 1
-            return prefix[:-1], prefix[-1]
+            return prefix[:-1], prefix[-1], frames
         self.visited = visited
-        return prefix, cursors[-1]
+        return prefix, cursors[-1], frames
 
     def state(self) -> dict:
         """Serializable frontier; restoring it resumes exactly here."""
@@ -230,20 +237,18 @@ class BasisDFS:
         self.visited = visited = min(visited, self.node_budget + 1)
         return BudgetExceededError(visited, self.node_budget)
 
-    def _path(self, prefix: list[int], cursor: int):
+    def _path(self, prefix: list[int], cursor: int, frames: list):
         """The walks that finish the subtree of each prefix on the frontier's path, deepest first.
 
         Each kernel is built when the one before it has ended, so it starts
-        from the `visited` that one left.
+        from the `visited` that one left, and from the frame `_restore` built.
         """
         self._ran = True
         p, kind = self.p, self._kind
         cap = sys.maxsize if self.node_budget is None else self.node_budget  # no walk gets that far
         for root in range(len(prefix), self.min_height - 1, -1):
-            cov, mask, limit, free = _frame(prefix[:root], p)  # a kernel holds n + 2, free doubled
             walk = _kernel(p, self.total, self.constrained, root, kind)(
-                self, self.visited, cap, cursor, *prefix[1:root], cov, mask, limit + 1,
-                free | free << p)
+                self, self.visited, cap, cursor, *prefix[1:root], *frames[root])
             if kind is None:  # a fold's kernel has run to its end by now, and yields no leaf
                 yield walk
             if self._at:  # the budget stopped that kernel, and state() resumes it
@@ -300,15 +305,17 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
                    kind: str | None = None) -> str:
     """Source of `walk(dfs, visited, cap, start, c1, ..., c<root - 1>, root's frame)`.
 
-    The walk returns `visited`.  A node c sets its element mask first and
-    then its coverage with one shift-or, v | m << c: the mask holds bit 0,
-    so that covers c, c + a_i and 2c.  Its limit l = n + 2 is the bit
-    length of the lowest run of ones in v, and a candidate c >= l ends the
-    level.  The level with one free residue left, index p - 2 when the
-    first p - 1 levels are constrained, steps by p: its parent looks up
-    the first candidate, the next free residue after the parent's own in
-    the free set the parent was picked from, and only a kernel rooted
-    there jumps, once, from its cursor.  A level sets its `f` only if the
+    The walk returns `visited`.  One loop emits every level, each a `while`
+    loop nested in its parent's, and the leaf level last, where the code
+    of the kind takes the place of the node step.  A node c sets its
+    element mask first and then its coverage with one shift-or,
+    v | m << c: the mask holds bit 0, so that covers c, c + a_i and 2c.
+    Its limit l = n + 2 is the bit length of the lowest run of ones in v,
+    and a candidate c >= l ends the level.  The level with one free
+    residue left, index p - 2 when the first p - 1 levels are constrained,
+    steps by p: its parent looks up the first candidate, the next free
+    residue after the parent's own in the free set the parent was picked
+    from, and only a kernel rooted there jumps, once, from its cursor.  A level sets its `f` only if the
     next level jumps on it, so a kernel may hand an inner one an older
     `f`, which it never reads.  Other leaves step by 1 on a free level
     and are picked like inner nodes on a constrained one.  A leaf test
@@ -356,14 +363,28 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
     if root == one:  # a kernel rooted at the one-residue level jumps from its cursor, once
         jump(1, f"c{root}")
     depth = 1
-    for k in range(root, leaf if inner is None else inner):
+    for k in range(root, inner or total):  # the leaf, if this kernel walks it, last
         emit(depth, "while True:")
         depth += 1
         if k < constrained and k != one:
             jump(depth, f"c{k}")
-        emit(depth, f"if c{k} >= l{k - 1}:", "    break", "visited += 1",
-             f"m{k} = m{k - 1} | 1 << c{k}", f"v{k} = v{k - 1} | m{k} << c{k}",
-             f"l{k} = (v{k} ^ (v{k} + 1)).bit_length()")
+        emit(depth, f"if c{k} >= l{k - 1}:", "    break")
+        if k == leaf:  # the last level: the kind's leaf code takes the place of the node step
+            c, q, at = f"c{k}", k - 1, f"(1, {upto(k)})"
+            # the bound is b_0 <= e + p // 2 on a p-basis and b_0 <= e + p on a p+-basis, and
+            # each of the three elements c_j below b_0 needs b_0 + c_j - p covered below b_0
+            bits = "".join(f" and (v{q} >> {c} + c{j} - {p}) & 1"
+                           for j in range(q, max(q - 3, 0), -1))
+            test = [f"if {c} <= {f'c{q}' if q else 1} + {p // 2 if step == p else p}{bits}:",
+                    f"    s, w = m{q}, {p}", f"    while w < {c}:", "        s |= s << w",
+                    "        w <<= 1", f"    w = (1 << ({c} - 1) // {p} * {p} + 1) - 2",
+                    f"    if ((v{q} >> {c}) | s) & w == w:"]
+            emit(depth, *entry.leaf(
+                p=p, step=step, c=c, q=q, at=at, trip=trip(q), count=["visited += 1", *trip(q)],
+                test=test, sym=f"search.symmetricisable_raw({at}, m{q} | 1 << {c}, {p})"))
+            break
+        emit(depth, "visited += 1", f"m{k} = m{k - 1} | 1 << c{k}",
+             f"v{k} = v{k - 1} | m{k} << c{k}", f"l{k} = (v{k} ^ (v{k} + 1)).bit_length()")
         if k + 1 < constrained and (k + 1 != one or k + 1 == inner):  # the next level jumps
             emit(depth, f"f{k} = {free} ^ ({1 | 1 << p} << c{k} % {p})")
             free = f"f{k}"
@@ -375,23 +396,6 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
             jump(depth, f"c{k + 1}", f"c{k}")
         else:
             emit(depth, f"c{k + 1} = c{k} + 1")
-    if inner is None:  # the leaves, from c<leaf> on
-        c, q, at = f"c{leaf}", leaf - 1, f"(1, {upto(leaf)})"
-        emit(depth, "while True:")
-        if not step:
-            jump(depth + 1, c)
-        emit(depth + 1, f"if {c} >= l{q}:", "    break")
-        # the bound is b_0 <= e + p // 2 on a p-basis and b_0 <= e + p on a p+-basis, and
-        # each of the three elements c_j below b_0 needs b_0 + c_j - p covered below b_0
-        bits = "".join(f" and (v{q} >> {c} + c{j} - {p}) & 1" for j in range(q, max(q - 3, 0), -1))
-        test = [f"if {c} <= {f'c{q}' if q else 1} + {p // 2 if step == p else p}{bits}:",
-                f"    s, w = m{q}, {p}", f"    while w < {c}:", "        s |= s << w",
-                "        w <<= 1", f"    w = (1 << ({c} - 1) // {p} * {p} + 1) - 2",
-                f"    if ((v{q} >> {c}) | s) & w == w:"]
-        emit(depth + 1, *entry.leaf(
-            p=p, step=step, c=c, q=q, at=at, trip=trip(q), count=["visited += 1", *trip(q)],
-            test=test, sym=f"search.symmetricisable_raw({at}, m{q} | 1 << {c}, {p})"))
-        emit(depth + 1, f"{c} += {step or 1}")
     for k in range(depth - 1, 0, -1):
         emit(k + 1, f"c{root + k - 1} += {p if root + k - 1 == one else 1}")
     emit(1, "dfs.visited = visited", "dfs._at = ()", "return visited")
@@ -463,13 +467,6 @@ _KINDS = {
         *count, f"w = v{q} | (m{q} | 1 << {c}) << {c}",
         f"d = (w ^ (w + 1)).bit_length() - {c} - {p + 1}", "tally[(d >= 0) + (d > 0)] += 1"]),
 }
-
-
-def _frame(prefix: list[int], p: int) -> tuple[int, int, int, int]:
-    """(coverage, element mask, n + 1, nonzero residues still free) of a prefix."""
-    cov, mask = coverage(prefix)
-    free = ((1 << p) - 2) & ~sum(1 << r for r in {a % p for a in prefix})
-    return cov, mask, first_gap(cov), free
 
 
 def _mode_levels(p: int, mode: str) -> tuple[int, int]:

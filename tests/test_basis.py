@@ -3,6 +3,7 @@ import inspect
 import json
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +90,11 @@ def test_parse_and_wire_formats():
     for text in ("1,2,x", "1,2_0", "1,\u0663", "1,+3", "1,-3", "1,,3", ""):
         with pytest.raises(BasisError):
             Basis.parse(text)
+    # from CPython 3.11 (and 3.10.7) on, int() converts no more digits than this limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        with pytest.raises(BasisError, match="^unparseable basis text"):
+            Basis.parse("1," + "9" * (limit + 1))
     with pytest.raises(BasisError):
         Basis.from_json('{"numbers": [1, 2]}')
 

@@ -67,6 +67,35 @@ def test_range_parse_error(capsys):
     assert err.startswith("error:")
 
 
+def test_range_over_the_digit_limit_exits_2(capsys):
+    # from CPython 3.11 (and 3.10.7) on, int() converts no more digits than this limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integers of any length")
+    code, out, err = run_cli(capsys, "range", "1," + "9" * (limit + 1))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+# a gap far above any element's reach is answered without a bitmask as wide as the gap
+def test_range_with_a_huge_gap(capsys):
+    code, out, err = run_cli(capsys, "range", f"1,{10**30}")
+    assert (code, out, err) == (0, "n=2 admissible=false\n", "")
+
+
+def test_check_extensible_with_a_huge_gap(capsys):
+    code, out, err = run_cli(capsys, "check", f"1,3,{10**30}", "5", "--extensible")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["extension"] == {
+        "extensible": False, "k_star": 2 * 10**29 - 1, "s": -1, "residues_complete": False}
+
+
+def test_stohr_with_a_huge_gap(capsys):
+    code, out, err = run_cli(capsys, "stohr", f"1,{10**30}")
+    assert code == 2 and out == ""
+    assert err == "error: greedy continuation needs an admissible seed\n"
+
+
 def test_check_all_predicates_pass(capsys):
     code, out, _ = run_cli(
         capsys, "check", "1,3,4,5,8", "6",
