@@ -64,7 +64,6 @@ from .symmetric import (
     closure_profile,
     closure_range,
     is_symmetricisable,
-    is_symmetricisable_plus,
     m_zero,
 )
 

@@ -137,15 +137,21 @@ class Basis:
 
         Each part is ASCII digits, with whitespace around them allowed: no
         sign, underscore or other script's digit, which `int` would take.
+        An error names the first bad part by position and length and quotes
+        at most 20 of its characters, however long the text.
         """
         parts = [part.strip() for part in text.split(",")]
-        if not all(part.isascii() and part.isdigit() for part in parts):
-            raise BasisError(f"unparseable basis text {text!r}")
-        try:
-            elements = tuple(map(int, parts))
-        except ValueError:  # more digits than int() converts, sys.get_int_max_str_digits()
-            raise BasisError(f"unparseable basis text {text!r}") from None
-        return cls(elements)
+        elements = []
+        for position, part in enumerate(parts, 1):
+            try:
+                if not (part.isascii() and part.isdigit()):
+                    raise ValueError
+                elements.append(int(part))
+            except ValueError:  # or more digits than int() converts, sys.get_int_max_str_digits()
+                shown = repr(part[:20]) + ("..." if len(part) > 20 else "")
+                raise BasisError(f"unparseable basis text: part {position} of {len(parts)} "
+                                 f"(length {len(part)}) is {shown}") from None
+        return cls(tuple(elements))
 
     def to_text(self) -> str:
         return ",".join(str(a) for a in self.elements)

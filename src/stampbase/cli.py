@@ -34,7 +34,7 @@ from .search import (
     run_enumeration,
     tail_distribution,
 )
-from .symmetric import is_symmetricisable, is_symmetricisable_plus
+from .symmetric import is_symmetricisable
 
 DEFAULT_P_MAX = 14
 DEFAULT_K_MAX = 40
@@ -89,11 +89,7 @@ def cmd_check(args) -> int:
         report["extension"] = ext.to_json_dict()
         predicates.append(ext.extensible)
     if args.symmetricisable or args.profile:
-        # a p-element basis is treated as a p-basis plus one free element
-        if basis.k == p:
-            sym = is_symmetricisable_plus(basis, p)
-        else:
-            sym = is_symmetricisable(basis, p)
+        sym = is_symmetricisable(basis, p)
         report["symmetricisability"] = sym.to_json_dict()
         if args.symmetricisable:
             predicates.append(sym.symmetricisable)
@@ -287,11 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="decision procedures for one basis")
     p_check.add_argument("basis")
     p_check.add_argument("p", type=int)
-    p_check.add_argument("--p-basis", action="store_true", dest="p_basis")
-    p_check.add_argument("--extensible", action="store_true")
-    p_check.add_argument("--symmetricisable", action="store_true")
+    p_check.add_argument("--p-basis", action="store_true", dest="p_basis",
+                         help="whether the basis is a p-basis: p - 1 elements, one from each "
+                              "nonzero residue class mod p, admissible")
+    p_check.add_argument("--extensible", action="store_true",
+                         help="whether every arithmetic extension in steps of p is admissible")
+    p_check.add_argument("--symmetricisable", action="store_true",
+                         help="whether the mirrored closure S_m0 is admissible, with the profile "
+                              "of S_0..S_m0; the basis is a p-basis, or one with a free p-th "
+                              "element on top, and extensible")
     p_check.add_argument("--profile", action="store_true",
-                         help="include the closure admissibility profile")
+                         help="print the --symmetricisable report without counting its verdict "
+                              "toward the exit code")
     p_check.set_defaults(func=cmd_check)
 
     p_enum = sub.add_parser("enumerate", help="stream all p-bases as JSONL")

@@ -248,7 +248,7 @@ def extensible_completion(base: Basis, p: int) -> Basis:
             f"completion needs all residues mod {p} present in the base"
         )
     b0 = base.tail
-    m = (b0 + p - 1) // p  # first index with b_m >= 2*b_0
+    m = extension_threshold(b0, p) + 1  # first index with b_m >= 2*b_0
     extended = extend_arithmetic(base, p, m)
     cov, _ = coverage(extended.elements)
     top = extended.tail

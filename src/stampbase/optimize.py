@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .basis import Basis, PreconditionError, _record
 from .search import BasisDFS, _fold, _mode_levels
-from .symmetric import closure_profile, closure_range
+from .symmetric import closure_profile, closure_range, m_zero
 
 
 @_record
@@ -84,16 +84,17 @@ def range_table(
 ) -> RangeTable:
     """Closure ranges 2*(2*tail + j*p) at every realizable (k, p).
 
-    j = k - 2(p-1) counts arithmetic terms past the mirrored record (in
-    plus mode the two extra mirrored elements absorb two of them), so each
-    entry is `closure_range(b_0, p, m)` of the records' top b_0 and the
-    closure's m = j terms, or b_0 = tail + p and m = j - 2 in plus mode.
-    An entry appears when any maximal basis has an admissible closure there;
-    below the threshold that is read off the profile, above it is automatic.
+    A closure on k elements mirrors the records' `levels` elements around
+    m = k - 2*levels arithmetic terms, so each entry is
+    `closure_range(b_0, p, m)` of the top b_0 = tail + shift that every
+    maximal basis shares (levels and shift from `_mode_levels`).  An entry
+    appears when any maximal basis has an admissible closure there; below
+    the threshold m0 that is read off the profile, above it is automatic.
     """
     tails: dict[int, int] = {}
     entries: dict[tuple[int, int], int] = {}
     for p in p_list:
+        levels, shift = _mode_levels(p, mode)
         mset = (maxima or {}).get(p)
         if mset is None:
             mset = maximal_symmetricisable(p, mode, node_budget=node_budget, threads=threads)
@@ -102,16 +103,20 @@ def range_table(
                 f"maximal set for p={p} is {mset.mode!r} at p={mset.p} (bases: {len(mset.bases)}), "
                 f"table wants {mode!r} at p={p} and at least one basis"
             )
+        b0 = mset.tail + shift
+        if any(basis.tail != b0 for basis in mset.bases):
+            raise PreconditionError(
+                f"maximal set for p={p} has bases with tops other than tail + {shift} = {b0}"
+            )
         tails[p] = mset.tail
-        b0 = mset.bases[0].tail  # the top every maximal basis shares
-        offset = 0 if mode == "plain" else 2  # closure terms m = j - offset
+        m0 = m_zero(b0, p)
         admissible_m = set()
         for basis in mset.bases:
-            profile = closure_profile(basis, p)
-            admissible_m.update(m for m, ok in enumerate(profile.profile) if ok)
-        for k in range(2 * (p - 1), k_max + 1):
-            m = k - 2 * (p - 1) - offset
-            if m >= profile.m0 or m in admissible_m:
+            profile = closure_profile(basis, p).profile
+            admissible_m.update(m for m, ok in enumerate(profile) if ok)
+        for k in range(2 * levels, k_max + 1):
+            m = k - 2 * levels
+            if m >= m0 or m in admissible_m:
                 entries[(k, p)] = closure_range(b0, p, m)
     return RangeTable(mode=mode, k_max=k_max, tails=tails, entries=entries)
 

@@ -16,8 +16,9 @@ Below m0 the admissibility of individual S_j can vary freely, so the
 profile over j = 0..m0 is reported alongside the verdict.
 
 For a p-basis the origin has r = p - 1 elements; the plus variant mirrors
-all r = p elements of a p-basis with one extra free element a_p, and uses
-the same threshold test with b_0 = a_p (the test is sufficient there).
+all r = p elements of a p-basis with one extra free element a_p, and
+`is_symmetricisable` applies the same threshold test with b_0 = a_p (the
+test is sufficient there).
 
 For an extensible origin O the verdict has a difference-set form, which
 `symmetricisable_raw` decides without building S_{m0}: it is admissible
@@ -31,21 +32,18 @@ from __future__ import annotations
 
 from .basis import (
     Basis,
-    BasisError,
     PreconditionError,
     _record,
     coverage,
     is_p_basis,
     range_from_coverage,
 )
-from .extension import is_extensible
+from .extension import extension_threshold, is_extensible
 
 
 def m_zero(b0: int, p: int) -> int:
     """Smallest m with b_m = b_0 + m*p >= 2*b_0."""
-    if p < 1 or b0 < 1:
-        raise PreconditionError("threshold needs positive top element and step")
-    return (b0 + p - 1) // p
+    return extension_threshold(b0, p) + 1
 
 
 def closure_range(b0: int, p: int, j: int) -> int:
@@ -114,35 +112,23 @@ def closure_profile(origin: Basis, p: int) -> SymmetricisabilityReport:
     )
 
 
-def is_symmetricisable(pbasis: Basis, p: int) -> SymmetricisabilityReport:
-    """Decide whether an extensible p-basis admits an admissible closure.
+def is_symmetricisable(basis: Basis, p: int) -> SymmetricisabilityReport:
+    """Decide whether an extensible basis admits an admissible closure.
 
-    The decision is the single admissibility check of S_{m0}; the report
-    carries the full profile below the threshold as well, since closures
-    there may pass or fail independently of the verdict.
+    The basis is a p-basis, or a p-basis with one free element a_p on top
+    (the plus variant): p - 1 or p elements, the first p - 1 a p-basis,
+    and the whole basis p-extensible with b_0 its top.  The decision is
+    the single admissibility check of S_{m0}; the report carries the full
+    profile below the threshold as well, since closures there may pass or
+    fail independently of the verdict.
     """
-    if not is_p_basis(pbasis, p):
-        raise PreconditionError("symmetricisability is defined for p-bases")
-    if not is_extensible(pbasis, p).extensible:
+    if p < 3 or basis.k not in (p - 1, p) or not is_p_basis(Basis(basis.elements[: p - 1]), p):
+        raise PreconditionError(
+            "symmetricisability is defined for a p-basis, alone or with one free element on top"
+        )
+    if not is_extensible(basis, p).extensible:
         raise PreconditionError("symmetricisability needs an extensible basis")
-    return closure_profile(pbasis, p)
-
-
-def is_symmetricisable_plus(pplus: Basis, p: int) -> SymmetricisabilityReport:
-    """Threshold test for a p-basis carrying one extra free element a_p.
-
-    The first p-1 elements must form a p-basis and the whole basis must be
-    p-extensible (with b_0 = a_p).  All p elements are mirrored; a passing
-    S_{m0} is sufficient for an admissible symmetric closure.
-    """
-    if pplus.k != p:
-        raise BasisError(f"expected p = {p} elements, got {pplus.k}")
-    prefix = Basis(pplus.elements[:-1])
-    if not is_p_basis(prefix, p):
-        raise BasisError("the first p-1 elements must form a p-basis")
-    if not is_extensible(pplus, p).extensible:
-        raise PreconditionError("symmetricisability needs an extensible basis")
-    return closure_profile(pplus, p)
+    return closure_profile(basis, p)
 
 
 def closure_admissible_at(origin_elements: tuple[int, ...], p: int, m: int) -> bool:

@@ -90,6 +90,8 @@ def test_parse_and_wire_formats():
     for text in ("1,2,x", "1,2_0", "1,\u0663", "1,+3", "1,-3", "1,,3", ""):
         with pytest.raises(BasisError):
             Basis.parse(text)
+    with pytest.raises(BasisError, match=r"^unparseable basis text: part 3 of 3 \(length 1\) is 'x'$"):
+        Basis.parse("1,2,x")
     # from CPython 3.11 (and 3.10.7) on, int() converts no more digits than this limit
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:

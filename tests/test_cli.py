@@ -77,6 +77,18 @@ def test_range_over_the_digit_limit_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("part", ["9" * 5000, "x" * 5000], ids=["nines", "letters"])
+def test_range_parse_error_is_one_short_line(capsys, part):
+    # the message names the bad part and quotes the start of it, not the whole input
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if part.isdigit() and not 0 < limit < len(part):
+        pytest.skip("this Python converts integers of 5,000 digits")
+    code, out, err = run_cli(capsys, "range", "1," + part)
+    assert code == 2 and out == ""
+    assert err.startswith("error: unparseable basis text")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 # a gap far above any element's reach is answered without a bitmask as wide as the gap
 def test_range_with_a_huge_gap(capsys):
     code, out, err = run_cli(capsys, "range", f"1,{10**30}")
@@ -126,10 +138,12 @@ def test_check_profile_is_informational(capsys):
     assert code == 0  # profile alone asserts nothing
     assert json.loads(out)["symmetricisability"]["profile"] == profile
 
-    code, out, _ = run_cli(
+    # the same report, with its verdict counted
+    code, sym_out, _ = run_cli(
         capsys, "check", elements, str(p), "--symmetricisable",
     )
     assert code == 1
+    assert sym_out == out
 
 
 def test_check_plus_dispatch_on_p_elements(capsys):
@@ -138,6 +152,11 @@ def test_check_plus_dispatch_on_p_elements(capsys):
     )
     assert code == 0
     assert json.loads(out)["symmetricisability"]["symmetricisable"] is True
+
+    # 1, 2, 3, 8 is no 5-basis (3 and 8 share a residue), so there is nothing to decide
+    code, out, err = run_cli(capsys, "check", "1,2,3,8,9", "5", "--symmetricisable")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: symmetricisability is defined for a p-basis")
 
 
 def test_check_needs_a_predicate(capsys):

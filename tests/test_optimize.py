@@ -192,6 +192,15 @@ def test_precomputed_maxima_of_another_p_are_rejected():
         range_table([5], 12, mode="plain", maxima={5: maximal_symmetricisable(7, "plain")})
 
 
+def test_precomputed_maxima_with_another_top_are_rejected():
+    # (1, 2, 3, 7, 11) does not end at the set's top 8, so its closures have another b_0
+    real = maximal_symmetricisable(6, "plain")
+    mixed = MaximalBasisSet(p=6, mode="plain", tail=real.tail,
+                            bases=real.bases + (Basis((1, 2, 3, 7, 11)),))
+    with pytest.raises(PreconditionError, match="tail \\+ 0 = 8"):
+        range_table([6], 20, mode="plain", maxima={6: mixed})
+
+
 def test_precomputed_maxima_without_bases_are_rejected():
     empty = MaximalBasisSet(p=5, mode="plain", tail=8, bases=())
     with pytest.raises(PreconditionError, match="bases: 0"):

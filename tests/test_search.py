@@ -35,7 +35,7 @@ from stampbase.search import (
     _fold,
     _tail_counts,
 )
-from stampbase.symmetric import closure_profile, is_symmetricisable_plus
+from stampbase.symmetric import closure_profile, is_symmetricisable
 
 from conftest import classified_leaves
 from frozen import CENSUS, CLASSIFICATION, RANGE_COMPARISON
@@ -577,10 +577,8 @@ def test_classify_raw_matches_the_reference_procedures(p, extra):
         assert extensible == is_extensible(basis, p).extensible, elems
         if not extensible:
             assert not symmetricisable, elems
-        elif extra:
-            assert symmetricisable == is_symmetricisable_plus(basis, p).symmetricisable, elems
         else:
-            assert symmetricisable == closure_profile(basis, p).symmetricisable, elems
+            assert symmetricisable == is_symmetricisable(basis, p).symmetricisable, elems
 
 
 @pytest.mark.parametrize("p", range(5, 11))
@@ -867,7 +865,7 @@ def test_plus_records(tmp_path):
         assert basis_range(basis).admissible
         assert rec["extensible"] == is_extensible(basis, 6).extensible
         if rec["extensible"]:
-            verdict = is_symmetricisable_plus(basis, 6)
+            verdict = is_symmetricisable(basis, 6)
             assert rec["symmetricisable"] == verdict.symmetricisable
         else:
             assert not rec["symmetricisable"]
@@ -893,7 +891,7 @@ def test_public_api():
         "enumerate_p_bases", "extend_arithmetic", "extend_reach",
         "extensible_completion", "extension_range_identity",
         "extension_threshold", "is_extensible", "is_p_basis", "is_symmetric",
-        "is_symmetricisable", "is_symmetricisable_plus", "m_zero",
+        "is_symmetricisable", "m_zero",
         "maxima_record", "maximal_symmetricisable", "period_bound",
         "periodic_scan", "range_comparison_stats", "range_table", "residue_profile",
         "run_enumeration", "stohr_sequence", "symmetrize",

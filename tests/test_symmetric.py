@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from stampbase.basis import (
     Basis,
-    BasisError,
     PreconditionError,
     basis_range,
     coverage,
@@ -17,7 +16,6 @@ from stampbase.symmetric import (
     closure_profile,
     closure_range,
     is_symmetricisable,
-    is_symmetricisable_plus,
     m_zero,
     symmetricisable_raw,
 )
@@ -114,19 +112,22 @@ def test_symmetricisable_preconditions():
         is_symmetricisable(Basis((1, 2, 3)), 6)  # not a p-basis
     with pytest.raises(PreconditionError):
         is_symmetricisable(Basis((1, 3, 4, 7)), 5)  # not extensible
+    with pytest.raises(PreconditionError):
+        is_symmetricisable(Basis((1,)), 1)  # p-bases start at p = 3
 
 
 def test_plus_variant():
-    report = is_symmetricisable_plus(Basis((1, 2, 3, 4, 9)), 5)
+    # a p-basis with one free element on top goes through the same test
+    report = is_symmetricisable(Basis((1, 2, 3, 4, 9)), 5)
     assert report.symmetricisable and report.m0 == 2
     assert report.profile == (True, True, True)
-    report = is_symmetricisable_plus(Basis((1, 3, 4, 7, 9)), 5)
+    report = is_symmetricisable(Basis((1, 3, 4, 7, 9)), 5)
     assert report.symmetricisable
 
-    with pytest.raises(BasisError):
-        is_symmetricisable_plus(Basis((1, 2, 3, 4)), 5)  # needs p elements
-    with pytest.raises(BasisError):
-        is_symmetricisable_plus(Basis((1, 2, 3, 8, 9)), 5)  # bad prefix
+    with pytest.raises(PreconditionError):
+        is_symmetricisable(Basis((1, 2, 3, 4, 5, 9)), 5)  # p - 1 or p elements
+    with pytest.raises(PreconditionError):
+        is_symmetricisable(Basis((1, 2, 3, 8, 9)), 5)  # bad prefix
 
 
 def test_raw_closure_check_matches_profile():
