@@ -30,6 +30,7 @@ from .extension import (
     extension_range_identity,
     extension_threshold,
     is_extensible,
+    m_zero,
     period_bound,
     periodic_scan,
     stohr_sequence,
@@ -64,7 +65,6 @@ from .symmetric import (
     closure_profile,
     closure_range,
     is_symmetricisable,
-    m_zero,
 )
 
 # the submodules are names here too, but a star import should not bind them

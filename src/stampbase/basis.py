@@ -67,27 +67,43 @@ def coverage(elements) -> tuple[int, int]:
     element_mask has bit a set for every element plus bit 0 for the implicit
     a_0; covered has bit x set for every generated x (including 0).
     """
-    mask = 1
+    cov = mask = 1
     for a in elements:
-        mask |= 1 << a
-    cov = mask
-    for a in elements:
-        cov |= mask << a
+        cov, mask = extend_coverage(cov, mask, a)
     return cov, mask
 
 
 def extend_coverage(cov: int, mask: int, b: int) -> tuple[int, int]:
-    """Coverage masks after appending a new top element b (b above all others)."""
-    return cov | (mask << b) | (1 << (2 * b)), mask | (1 << b)
+    """Coverage masks after adding an element b, by the search kernels' node step.
+
+    The mask goes first: with its bit 0 for a_0, one shift-or covers b, b + a_i and 2b.
+    """
+    mask |= 1 << b
+    return cov | mask << b, mask
 
 
 def first_gap(cov: int) -> int:
     """Smallest x >= 0 whose bit is cleared; bit 0 is always set, so >= 1."""
-    return ((~cov) & (cov + 1)).bit_length() - 1
+    return (cov ^ (cov + 1)).bit_length() - 1
 
 
 def range_from_coverage(cov: int) -> int:
     return first_gap(cov) - 1
+
+
+def _coverage_to_gap(elements) -> tuple[int, int]:
+    """`coverage` of the elements up to the first one above n + 1, n the range so far.
+
+    Every later element, and every sum with one, is larger than that gap, so
+    the range is final there and no bitmask spans the gap.  An admissible
+    basis has no such element, so its coverage is whole.
+    """
+    cov = mask = 1
+    for a in elements:
+        if a > first_gap(cov):
+            break
+        cov, mask = extend_coverage(cov, mask, a)
+    return cov, mask
 
 
 def _validated(elements) -> tuple[int, ...]:
@@ -199,18 +215,8 @@ class ReachSet:
 
 
 def basis_range(basis: Basis) -> RangeResult:
-    """Range n(A_k) plus the admissibility verdict n >= a_k.
-
-    The coverage grows element by element and stops at the first element
-    above n + 1: every later element, and every sum with one, is larger
-    than that gap, so n is final there, and no bitmask spans the gap.
-    """
-    cov = mask = 1
-    for a in basis.elements:
-        if a > first_gap(cov):
-            break
-        cov, mask = extend_coverage(cov, mask, a)
-    n = range_from_coverage(cov)
+    """Range n(A_k) plus the admissibility verdict n >= a_k."""
+    n = range_from_coverage(_coverage_to_gap(basis.elements)[0])
     return RangeResult(n=n, admissible=n >= basis.tail)
 
 
@@ -220,10 +226,7 @@ def extend_reach(reach: ReachSet, basis: Basis, new_element: int) -> ReachSet:
     `reach` must be the coverage of `basis` and new_element must exceed its
     top element; the update is one shift-or instead of a full rebuild.
     """
-    expected_mask = 1
-    for a in basis.elements:
-        expected_mask |= 1 << a
-    if reach.element_mask != expected_mask:
+    if reach.element_mask != coverage(basis.elements)[1]:
         raise BasisError("reach does not correspond to the given basis")
     if new_element <= basis.tail:
         raise BasisError(

@@ -26,6 +26,7 @@ from .optimize import best_segments, maximal_symmetricisable, range_table
 from .search import (
     _CHECKPOINT_EVERY,
     BudgetExceededError,
+    ClassStats,
     _pool,
     classify,
     enumerate_p_bases,
@@ -197,12 +198,10 @@ def _tail_maxima(ps, args):
 def _tail_columns(columns, ps, args):
     rows, dist = [], tail_distribution(args.p_max, node_budget=args.node_budget,
                                       threads=args.threads)
-    for tail, n_p, n_e, n_s in dist.rows:
-        cells = {
-            "tail": tail, "n_p": n_p, "n_e": n_e, "n_s": n_s,
-            "pct_e": _pct(100 * n_e / n_p if n_p else 0.0),
-            "pct_s": _pct(100 * n_s / n_e if n_e else 0.0),
-        }
+    for tail, *counts in dist.rows:
+        st = ClassStats(dist.p, *counts)
+        cells = {"tail": tail, "n_p": st.n_p, "n_e": st.n_e, "n_s": st.n_s,
+                 "pct_e": _pct(st.pct_e), "pct_s": _pct(st.pct_s)}
         rows.append([cells[c] for c in columns])
     return list(columns), rows
 

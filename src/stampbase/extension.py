@@ -28,10 +28,11 @@ from __future__ import annotations
 from .basis import (
     Basis,
     PreconditionError,
+    _coverage_to_gap,
     _record,
-    basis_range,
     coverage,
     extend_coverage,
+    first_gap,
     is_p_basis,
     range_from_coverage,
     residue_profile,
@@ -53,6 +54,11 @@ def extension_threshold(b0: int, p: int) -> int:
     if p < 1 or b0 < 1:
         raise PreconditionError("threshold needs positive top element and step")
     return (b0 + p - 1) // p - 1
+
+
+def m_zero(b0: int, p: int) -> int:
+    """Smallest m with b_m = b_0 + m*p >= 2*b_0."""
+    return extension_threshold(b0, p) + 1
 
 
 @_record
@@ -93,23 +99,14 @@ def is_extensible(base: Basis, p: int) -> ExtensionReport:
     b0 = base.tail
     k_star = extension_threshold(b0, p)
     complete = residue_profile(base, p).complete
-    if not basis_range(base).admissible:  # s = -1, with no bitmask as wide as the base's gap
-        return ExtensionReport(False, k_star, -1, complete)
-
-    cov, mask = coverage(base.elements)
-    s = None
-    for i in range(1, k_star + 1):
-        top = b0 + i * p
-        cov, mask = extend_coverage(cov, mask, top)
-        if range_from_coverage(cov) < top:
-            s = i - 1
-            break
-    if s is None:
-        # admissible through k*; conclusive when the residues cooperate
-        if complete:
-            return ExtensionReport(True, k_star, None, True)
-        return ExtensionReport(False, k_star, k_star, False)
-    return ExtensionReport(False, k_star, s, complete)
+    cov, mask = _coverage_to_gap(base.elements)  # no bitmask as wide as the base's gap
+    for i in range(k_star + 1):
+        if i:
+            cov, mask = extend_coverage(cov, mask, b0 + i * p)
+        if range_from_coverage(cov) < b0 + i * p:  # A_{j+i} is the first inadmissible one
+            return ExtensionReport(False, k_star, i - 1, complete)
+    # admissible through k*; conclusive when the residues cooperate
+    return ExtensionReport(complete, k_star, None if complete else k_star, complete)
 
 
 @_record
@@ -125,21 +122,15 @@ def stohr_sequence(seed: Basis, count: int) -> StohrSequence:
     """Generate `count` greedy continuation terms from an admissible seed."""
     if count < 0:
         raise PreconditionError(f"term count must be >= 0, got {count}")
-    if not basis_range(seed).admissible:  # before a bitmask as wide as the seed's gap
+    cov, mask = _coverage_to_gap(seed.elements)  # no bitmask as wide as the seed's gap
+    if range_from_coverage(cov) < seed.tail:
         raise PreconditionError("greedy continuation needs an admissible seed")
-    cov, mask = coverage(seed.elements)
-    n = range_from_coverage(cov)
     terms = []
-    prev = seed.tail
-    increments = []
-    for _ in range(count):
-        t = n + 1
-        terms.append(t)
-        increments.append(t - prev)
-        prev = t
-        cov, mask = extend_coverage(cov, mask, t)
-        n = range_from_coverage(cov)
-    return StohrSequence(seed=seed, terms=tuple(terms), increments=tuple(increments))
+    for _ in range(count):  # each term is the first gap n + 1
+        terms.append(first_gap(cov))
+        cov, mask = extend_coverage(cov, mask, terms[-1])
+    increments = tuple(b - a for a, b in zip((seed.tail, *terms), terms))
+    return StohrSequence(seed=seed, terms=tuple(terms), increments=increments)
 
 
 def extension_range_identity(pbasis: Basis, p: int, k_max: int) -> bool:
@@ -247,9 +238,7 @@ def extensible_completion(base: Basis, p: int) -> Basis:
         raise PreconditionError(
             f"completion needs all residues mod {p} present in the base"
         )
-    b0 = base.tail
-    m = extension_threshold(b0, p) + 1  # first index with b_m >= 2*b_0
-    extended = extend_arithmetic(base, p, m)
+    extended = extend_arithmetic(base, p, m_zero(base.tail, p))  # to the first b_m >= 2*b_0
     cov, _ = coverage(extended.elements)
     top = extended.tail
     gaps = tuple(x for x in range(1, top) if not (cov >> x) & 1)

@@ -14,8 +14,9 @@ produce overlapping segments at the boundary.
 from __future__ import annotations
 
 from .basis import Basis, PreconditionError, _record
+from .extension import m_zero
 from .search import BasisDFS, _fold, _mode_levels
-from .symmetric import closure_profile, closure_range, m_zero
+from .symmetric import closure_profile, closure_range
 
 
 @_record

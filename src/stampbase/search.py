@@ -34,7 +34,7 @@ from collections import namedtuple
 from contextlib import contextmanager
 from itertools import chain, repeat
 
-from .basis import Basis, PreconditionError, _record
+from .basis import Basis, PreconditionError, _record, extend_coverage, first_gap
 from .symmetric import symmetricisable_raw
 
 class BudgetExceededError(RuntimeError):
@@ -161,9 +161,8 @@ class BasisDFS:
                     f"corrupt state: element {c} at level {level} repeats "
                     f"residue {r} mod {p} or is divisible by it"
                 )
-            m |= 1 << c
-            v |= m << c
-            l, f = (v ^ (v + 1)).bit_length(), f & ~((1 | 1 << p) << r)
+            v, m = extend_coverage(v, m, c)
+            l, f = first_gap(v) + 1, f & ~((1 | 1 << p) << r)
             frames.append((v, m, l, f))
         # levels below min_height - 1 are never resumed, so their cursors are free
         for level in range(max(self.min_height - 1, 0), len(prefix) - 1):

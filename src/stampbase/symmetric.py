@@ -38,12 +38,7 @@ from .basis import (
     is_p_basis,
     range_from_coverage,
 )
-from .extension import extension_threshold, is_extensible
-
-
-def m_zero(b0: int, p: int) -> int:
-    """Smallest m with b_m = b_0 + m*p >= 2*b_0."""
-    return extension_threshold(b0, p) + 1
+from .extension import is_extensible, m_zero
 
 
 def closure_range(b0: int, p: int, j: int) -> int:

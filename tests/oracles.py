@@ -20,6 +20,12 @@ def brute_range(elements) -> int:
     return n
 
 
+def brute_coverage(elements) -> int:
+    """Bitmask with bit x set for every sum x of at most two elements, 0 included."""
+    elems = (0,) + tuple(elements)
+    return sum({1 << a + b for a in elems for b in elems})
+
+
 def brute_admissible(elements) -> bool:
     return brute_range(elements) >= max(elements)
 

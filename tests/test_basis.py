@@ -16,14 +16,17 @@ from stampbase.basis import (
     PreconditionError,
     ReachSet,
     basis_range,
+    coverage,
+    extend_coverage,
     extend_reach,
     is_p_basis,
     is_symmetric,
     residue_profile,
     symmetrize,
 )
+from stampbase.extension import is_extensible, stohr_sequence
 
-from oracles import brute_range
+from oracles import brute_coverage, brute_range
 
 
 def elements_strategy(max_size=9, max_gap=12):
@@ -60,9 +63,37 @@ def test_range_examples(elements, n, admissible):
 
 
 @settings(max_examples=300)
-@given(elements_strategy())
-def test_range_matches_brute_force(elements):
-    assert basis_range(Basis(elements)).n == brute_range(elements)
+@given(elements_strategy(max_gap=30))
+def test_coverage_is_the_sumset_and_grows_by_the_node_step(elements):
+    assert coverage(elements) == (brute_coverage(elements), sum({1 << a for a in (0, *elements)}))
+    for start in range(len(elements)):
+        grown = coverage(elements[:start])
+        for end in range(start + 1, len(elements) + 1):
+            grown = extend_coverage(*grown, elements[end - 1])
+            assert grown == coverage(elements[:end])
+
+
+def gapped_elements_strategy():
+    """Element tuples with one 31-digit gap after some prefix: no bitmask can span it."""
+    return st.tuples(elements_strategy(max_size=5), st.integers(0, 99),
+                     elements_strategy(max_size=3)).map(
+        lambda parts: (*parts[0], *(parts[0][-1] + 10 ** 30 + parts[1] + a for a in parts[2])))
+
+
+# basis_range, is_extensible and stohr_sequence all decide admissibility by the early-stopping
+# coverage, which must not build a bitmask across a gap
+@settings(max_examples=300)
+@given(st.one_of(elements_strategy(), gapped_elements_strategy()), st.integers(2, 9))
+def test_range_matches_brute_force(elements, p):
+    n, basis = brute_range(elements), Basis(elements)
+    assert (basis_range(basis).n, basis_range(basis).admissible) == (n, n >= basis.tail)
+    assert (is_extensible(basis, p).s == -1) == (n < basis.tail)
+    try:
+        stohr_sequence(basis, 3)
+    except PreconditionError:
+        assert n < basis.tail
+    else:
+        assert n >= basis.tail
 
 
 # a string goes through from_json; an element that is no int is an error, never rounded or
