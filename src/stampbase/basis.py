@@ -226,7 +226,7 @@ def extend_reach(reach: ReachSet, basis: Basis, new_element: int) -> ReachSet:
     `reach` must be the coverage of `basis` and new_element must exceed its
     top element; the update is one shift-or instead of a full rebuild.
     """
-    if reach.element_mask != coverage(basis.elements)[1]:
+    if reach.element_mask != 1 + sum(1 << a for a in basis.elements):  # distinct, so sum = OR
         raise BasisError("reach does not correspond to the given basis")
     if new_element <= basis.tail:
         raise BasisError(

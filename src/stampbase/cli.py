@@ -72,13 +72,10 @@ def cmd_check(args) -> int:
     basis = Basis.parse(args.basis)
     p = args.p
     if not (args.p_basis or args.extensible or args.symmetricisable or args.profile):
-        print("error: nothing to check; pass at least one predicate flag",
-              file=sys.stderr)
-        return 2
+        raise PreconditionError("nothing to check; pass at least one predicate flag")
     for flag, floor in (("p_basis", 3), ("extensible", 2), ("symmetricisable", 3), ("profile", 3)):
         if getattr(args, flag) and p < floor:
-            print(f"error: --{flag.replace('_', '-')} needs p >= {floor}, got {p}", file=sys.stderr)
-            return 2
+            raise PreconditionError(f"--{flag.replace('_', '-')} needs p >= {floor}, got {p}")
     report: dict = {"basis": list(basis.elements), "p": p}
     predicates = []
     if args.p_basis:
@@ -230,16 +227,13 @@ _FIRST_K = {5: 8, 6: 8, 8: 10, 9: 10}
 
 def cmd_tables(args) -> int:
     if args.format == "wide" and args.which not in (5, 8):
-        print("error: wide format applies to the range tables (5 and 8) only",
-              file=sys.stderr)
-        return 2
+        raise PreconditionError("wide format applies to the range tables (5 and 8) only")
     first_p, builder = _TABLES[args.which]
     for name, first, given in (("p", first_p, args.p_max),
                                ("k", _FIRST_K.get(args.which, 0), args.k_max)):
         if given < first:  # the table would be its header alone
-            print(f"error: table {args.which} starts at {name} = {first}; "
-                  f"--{name}-max must be >= {first}, got {given}", file=sys.stderr)
-            return 2
+            raise PreconditionError(f"table {args.which} starts at {name} = {first}; "
+                                    f"--{name}-max must be >= {first}, got {given}")
     with _pool(args.threads):  # one pool serves every p
         header, rows = builder(range(first_p, args.p_max + 1), args)
     buf = io.StringIO()

@@ -38,7 +38,7 @@ class MaximalBasisSet:
 
 
 def maximal_symmetricisable(
-    p: int, mode: str = "plain", node_budget: int | None = None, threads: int = 1
+    p: int, mode: str = "plain", *, node_budget: int | None = None, threads: int = 1
 ) -> MaximalBasisSet:
     """Symmetricisable bases with the largest tail, ties included.
 
@@ -80,6 +80,7 @@ def range_table(
     k_max: int,
     mode: str = "plain",
     maxima: dict[int, MaximalBasisSet] | None = None,
+    *,
     node_budget: int | None = None,
     threads: int = 1,
 ) -> RangeTable:
@@ -131,25 +132,22 @@ class BestSegments:
 
 
 def best_segments(table: RangeTable) -> BestSegments:
-    by_k: dict[int, dict[int, int]] = {}
-    for (k, p), value in table.entries.items():
-        by_k.setdefault(k, {})[p] = value
-    winner_ks: dict[int, list[int]] = {}
-    for k, column in by_k.items():
-        best = max(column.values())
-        for p, value in column.items():
-            if value == best:
-                winner_ks.setdefault(p, []).append(k)
-    rows = []
-    for p, ks in winner_ks.items():
-        ks.sort()
-        start = prev = ks[0]
-        for k in ks[1:] + [None]:
-            if k is not None and k == prev + 1:
-                prev = k
-                continue
-            rows.append((start, prev, table.entries[(start, p)], p))
-            if k is not None:
-                start = prev = k
+    """Maximal runs of consecutive k over which p reaches the best range at k.
+
+    One pass over the grid in (p, k) order: a winning cell extends the last
+    row when that row has the same p and ends at k - 1, and otherwise opens
+    a row.  Every tied p wins its k, so rows overlap where runs meet in a tie.
+    """
+    best: dict[int, int] = {}
+    for (k, _), value in table.entries.items():
+        best[k] = max(value, best.get(k, value))
+    rows: list[list[int]] = []
+    for (k, p), value in sorted(table.entries.items(), key=lambda cell: cell[0][::-1]):
+        if value < best[k]:
+            continue
+        if rows and rows[-1][3] == p and rows[-1][1] == k - 1:
+            rows[-1][1] = k
+        else:
+            rows.append([k, k, value, p])
     rows.sort(key=lambda row: (row[0], row[1], row[3]))
-    return BestSegments(mode=table.mode, rows=tuple(rows))
+    return BestSegments(mode=table.mode, rows=tuple(map(tuple, rows)))

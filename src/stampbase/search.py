@@ -608,7 +608,7 @@ class PlusBasisRecord:
     symmetricisable: bool
 
 
-def enumerate_p_bases(p: int, node_budget: int | None = None, threads: int = 1) -> int:
+def enumerate_p_bases(p: int, *, node_budget: int | None = None, threads: int = 1) -> int:
     """Number of p-bases: the total of the range fold, whose leaf step is the cheapest."""
     return sum(_fold(BasisDFS(p, p - 1, node_budget=node_budget), "range", threads))
 
@@ -629,7 +629,7 @@ class ClassStats:
         return 100.0 * self.n_s / self.n_e if self.n_e else 0.0
 
 
-def _tail_counts(p: int, threads: int = 1, node_budget: int | None = None) -> list:
+def _tail_counts(p: int, *, node_budget: int | None = None, threads: int = 1) -> list:
     """The "tally" fold over all p-bases.
 
     It counts each p-basis at 3 * tail + extensible + symmetricisable; a
@@ -646,9 +646,9 @@ def _class_counts(rows: list) -> tuple[int, int, int]:
     return n_e + sum(rows[0::3]), n_e, n_s
 
 
-def classify(p: int, threads: int = 1, node_budget: int | None = None) -> ClassStats:
+def classify(p: int, *, node_budget: int | None = None, threads: int = 1) -> ClassStats:
     """Counts (n_p, n_e, n_s) of all / extensible / symmetricisable p-bases."""
-    return ClassStats(p, *_class_counts(_tail_counts(p, threads, node_budget)))
+    return ClassStats(p, *_class_counts(_tail_counts(p, node_budget=node_budget, threads=threads)))
 
 
 @_record
@@ -661,7 +661,7 @@ class RangeComparison:
     above: int
 
 
-def range_comparison_stats(p: int, node_budget: int | None = None,
+def range_comparison_stats(p: int, *, node_budget: int | None = None,
                            threads: int = 1) -> RangeComparison:
     return RangeComparison(p, *_fold(BasisDFS(p, p - 1, node_budget=node_budget), "range", threads))
 
@@ -678,8 +678,9 @@ class TailDistribution:
     rows: tuple[tuple[int, int, int, int], ...]  # (tail, n_p, n_e, n_s)
 
 
-def tail_distribution(p: int, node_budget: int | None = None, threads: int = 1) -> TailDistribution:
-    counts = _tail_counts(p, threads, node_budget)
+def tail_distribution(p: int, *, node_budget: int | None = None,
+                      threads: int = 1) -> TailDistribution:
+    counts = _tail_counts(p, node_budget=node_budget, threads=threads)
     rows = tuple(
         (tail, *_class_counts(counts[3 * tail:3 * tail + 3]))
         for tail in range(p - 1, max(i for i, n in enumerate(counts) if n) // 3 + 1)
@@ -704,8 +705,8 @@ class MaximaRecord:
         return self.v2 / self.v1
 
 
-def maxima_record(p: int, node_budget: int | None = None, threads: int = 1) -> MaximaRecord:
-    rows = _tail_counts(p, threads, node_budget)
+def maxima_record(p: int, *, node_budget: int | None = None, threads: int = 1) -> MaximaRecord:
+    rows = _tail_counts(p, node_budget=node_budget, threads=threads)
     v1 = max((i for i, n in enumerate(rows) if n), default=0) // 3
     v2 = max((i // 3 for i, n in enumerate(rows) if n and i % 3), default=0)
     return MaximaRecord(p=p, v1=v1, v2=v2)

@@ -74,6 +74,28 @@ def brute_closure(origin, p: int, m: int):
     return tuple(sorted(tuple(origin) + tuple(ext) + tuple(mirror)))
 
 
+
+def brute_segments(entries) -> list:
+    """Best-p segment rows of a {(k, p): range} grid, from the definition.
+
+    A cell wins when its range is the largest in its k column, ties
+    included.  Each row is a maximal run k_min..k_max of consecutive k
+    that one p wins, with the range at k_min; rows sort by (k_min, k_max, p).
+    """
+    column = {}
+    for (k, _), value in entries.items():
+        column.setdefault(k, []).append(value)
+    winners = {cell for cell, value in entries.items() if value == max(column[cell[0]])}
+    rows = []
+    for k, p in winners:
+        if (k - 1, p) in winners:
+            continue  # inside a run that starts lower
+        end = k
+        while (end + 1, p) in winners:
+            end += 1
+        rows.append((k, end, entries[k, p], p))
+    return sorted(rows, key=lambda row: (row[0], row[1], row[3]))
+
 def search_nodes(p: int, total: int, constrained: int):
     """Every node of the p-basis search tree, in depth-first order, by plain recursion.
 

@@ -3,8 +3,9 @@
 Each test prints as a single pass/fail line under pytest -v.  The frozen
 constants live in frozen.py; the brute-force cross-checks in oracles.py.
 The longest sizes that run by default (p = 15-17) are marked stretch and
-can be deselected with -m 'not stretch'.  The p = 18 and 19 rows are
-marked long and run only with --run-long.
+can be deselected with -m 'not stretch'.  The p = 18 and 19 rows and
+the segment tables up to p = 18, k = 75 are marked long and run only with
+--run-long.
 """
 
 import random
@@ -53,6 +54,7 @@ from frozen import (
     OPTIMAL_CLOSURE_14,
     PERIODIC_SEEDS,
     RANGE_COMPARISON,
+    SEGMENTS_P18_K75,
     SHARPNESS,
     SMALL_CLOSURE_10,
     STOHR_EXAMPLE,
@@ -248,3 +250,10 @@ def test_long_census_and_maximal_tails(p):
     for mode in ("plain", "plus"):
         mset = maximal_symmetricisable(p, mode)
         assert (mset.tail, len(mset.bases)) == MAXIMAL_TAIL_TIES[mode][p], mode
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("mode", ["plain", "plus"])
+def test_long_segments_to_p18_k75(mode):
+    table = range_table(range(5, 19), 75, mode=mode)
+    assert list(best_segments(table).rows) == SEGMENTS_P18_K75[mode]

@@ -160,6 +160,16 @@ def test_extend_reach_matches_from_scratch():
         assert incremental == ReachSet.of(extended)
 
 
+def test_extend_reach_builds_no_coverage(monkeypatch):
+    # one shift-or onto `reach`; the check that it belongs to the basis rebuilds nothing
+    basis = Basis((1, 3, 4))
+    reach, expected = ReachSet.of(basis), ReachSet.of(Basis((1, 3, 4, 9)))
+    calls = []
+    monkeypatch.setattr("stampbase.basis.coverage", lambda *args: calls.append(args))
+    assert extend_reach(reach, basis, 9) == expected
+    assert calls == []
+
+
 def test_extend_reach_validates_correspondence():
     basis = Basis((1, 3, 4))
     with pytest.raises(BasisError):

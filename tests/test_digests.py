@@ -69,6 +69,24 @@ def test_extremal_table_at_p16(table):
     assert sha(out) == EXTREMAL_P16[table]
 
 
+# the range grids and best-p segments up to k = 75, the element counts the paper works at
+RANGE_K75 = {
+    5: "985b86b1cd360b89d417f5a48bd19a77b8a8b8885837f4a2ab626f561fbe335b",
+    6: "c01a599167f3e3e8e0aad5320345935cdf505f95c3e6b384a5d1123e5072314a",
+    8: "2f8a3e91a923133db7775702fcc29fab2e541eea9fe1a2d403f4b2dd4b09939e",
+    9: "db0d6966d218dc6877b89c71f41db910472466738dce9f68b8bbea1b2d3387f0",
+}
+
+
+@pytest.mark.parametrize("table, threads", [(t, n) for n in ("1", "2") for t in sorted(RANGE_K75)],
+                         ids=[f"{t}{suffix}" for suffix in ("", "-2-threads")
+                              for t in sorted(RANGE_K75)])
+def test_range_tables_at_k75(table, threads):
+    code, out = run("tables", str(table), "--p-max", "16", "--k-max", "75", "--threads", threads)
+    assert code == 0
+    assert sha(out) == RANGE_K75[table]
+
+
 def test_classification_over_budget():
     # p = 10 has 501 nodes, so the run stops there with no table
     err = io.StringIO()

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stampbase import search
-from stampbase.basis import Basis, PreconditionError, basis_range
+from stampbase.basis import Basis, PreconditionError, basis_range, is_symmetric
 from stampbase.optimize import (
     MaximalBasisSet,
+    RangeTable,
     best_segments,
     maximal_symmetricisable,
     range_table,
@@ -22,6 +25,7 @@ from frozen import (
     PLAIN_SEGMENTS,
     PLUS_SEGMENTS,
 )
+from oracles import brute_segments
 
 
 @pytest.mark.parametrize("p", sorted(MAXIMAL_PLAIN))
@@ -172,6 +176,38 @@ def test_plain_segments(plain_table):
 
 def test_plus_segments(plus_table):
     assert list(best_segments(plus_table).rows) == PLUS_SEGMENTS
+
+
+def test_frozen_segments_match_oracle(plain_table, plus_table):
+    assert brute_segments(plain_table.entries) == PLAIN_SEGMENTS
+    assert brute_segments(plus_table.entries) == PLUS_SEGMENTS
+
+
+# small k, p and range alphabets, so grids have ties, gaps in k and one-cell runs
+@settings(max_examples=300)
+@given(st.dictionaries(st.tuples(st.integers(0, 12), st.integers(3, 7)), st.integers(0, 3),
+                       max_size=40))
+@example({})
+@example({(8, 5): 16, (9, 5): 20, (9, 6): 20, (10, 6): 24})  # a tie: rows meet at k = 9
+@example({(8, 5): 16, (10, 5): 20})  # a gap in k: two rows for one p
+@example({(8, 5): 16, (9, 6): 20, (10, 5): 30})  # one-cell runs
+def test_segments_match_oracle(entries):
+    table = RangeTable(mode="plain", k_max=12, tails={}, entries=entries)
+    assert list(best_segments(table).rows) == brute_segments(entries)
+
+
+@pytest.mark.parametrize("mode", ["plain", "plus"])
+def test_winning_cells_to_k75_are_built_closures(mode):
+    # every cell of tables 6 and 9 at p <= 16, k <= 75 is the range of a literal closure
+    maxima = {p: maximal_symmetricisable(p, mode) for p in range(5, 17)}
+    table = range_table(range(5, 17), 75, mode=mode, maxima=maxima)
+    for k_min, k_max, _, p in best_segments(table).rows:
+        for k in range(k_min, k_max + 1):
+            # a record has `levels` elements, mirrored around k - 2 * levels arithmetic terms
+            closures = [build_symmetric_closure(b, p, k - 2 * b.k).elements
+                        for b in maxima[p].bases]
+            assert any(c.k == k and is_symmetric(c) and basis_range(c).admissible
+                       and basis_range(c).n == table.entries[k, p] for c in closures), (k, p)
 
 
 def test_precomputed_maxima_short_circuit(plain_table):

@@ -18,7 +18,7 @@ import stampbase
 from stampbase import search
 from stampbase.basis import Basis, PreconditionError, basis_range, coverage, range_from_coverage
 from stampbase.extension import is_extensible
-from stampbase.optimize import maximal_symmetricisable
+from stampbase.optimize import maximal_symmetricisable, range_table
 from stampbase.search import (
     BasisDFS,
     BudgetExceededError,
@@ -831,6 +831,19 @@ def test_budget_abort_reports_node_counts():
         enumerate_p_bases(10, node_budget=50)
     assert err.value.budget == 50
     assert err.value.visited == 51
+
+
+# a bare 2 after p once meant two threads to classify and a budget of two nodes to the census
+@pytest.mark.parametrize("entry", [
+    enumerate_p_bases, _tail_counts, classify, range_comparison_stats, tail_distribution,
+    maxima_record, maximal_symmetricisable, range_table,
+], ids=lambda entry: entry.__name__)
+def test_budget_and_threads_are_keyword_only(entry):
+    head = {maximal_symmetricisable: (5, "plain"),
+            range_table: ([5], 12, "plain", None)}.get(entry, (5,))
+    for tail in ((2,), (2, 1)):
+        with pytest.raises(TypeError):
+            entry(*head, *tail)
 
 
 @pytest.mark.parametrize("visited, budget", [(501, 500), (1, 0)])
