@@ -94,6 +94,12 @@ def is_extensible(base: Basis, p: int) -> ExtensionReport:
     (a gap below the current top can never be generated later), so the
     first failure fixes s exactly.
     """
+    return _extension_walk(base, p)[0]
+
+
+def _extension_walk(base: Basis, p: int) -> tuple[ExtensionReport, int, int]:
+    """`is_extensible`'s report, and the coverage masks of the extension where its walk
+    stopped: A_{j+k*}, or else the first inadmissible one."""
     if p < 2:
         raise PreconditionError(f"extension step must be at least 2, got {p}")
     b0 = base.tail
@@ -104,9 +110,9 @@ def is_extensible(base: Basis, p: int) -> ExtensionReport:
         if i:
             cov, mask = extend_coverage(cov, mask, b0 + i * p)
         if range_from_coverage(cov) < b0 + i * p:  # A_{j+i} is the first inadmissible one
-            return ExtensionReport(False, k_star, i - 1, complete)
+            return ExtensionReport(False, k_star, i - 1, complete), cov, mask
     # admissible through k*; conclusive when the residues cooperate
-    return ExtensionReport(complete, k_star, None if complete else k_star, complete)
+    return ExtensionReport(complete, k_star, None if complete else k_star, complete), cov, mask
 
 
 @_record
@@ -143,17 +149,16 @@ def extension_range_identity(pbasis: Basis, p: int, k_max: int) -> bool:
     """
     if not is_p_basis(pbasis, p):
         raise PreconditionError("range identity is stated for p-bases")
-    report = is_extensible(pbasis, p)
+    report, cov, mask = _extension_walk(pbasis, p)
     if not report.extensible:
         raise PreconditionError("range identity needs an extensible basis")
-    b0 = pbasis.tail
-    cov, mask = coverage(pbasis.elements)
-    for k in range(k_max + 1):
-        if k > 0:
+    # k* is the first k with b_{k+1} >= 2*b_0, and the walk stopped at A_{j+k*}
+    b0, k_star = pbasis.tail, report.k_star
+    for k in range(k_star, k_max + 1):
+        if k > k_star:
             cov, mask = extend_coverage(cov, mask, b0 + k * p)
-        if b0 + (k + 1) * p >= 2 * b0:
-            if range_from_coverage(cov) != b0 + (k + 1) * p - 1:
-                return False
+        if range_from_coverage(cov) != b0 + (k + 1) * p - 1:
+            return False
     return True
 
 

@@ -31,7 +31,7 @@ import json
 import os
 import sys
 from collections import namedtuple
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext, suppress
 from itertools import chain, repeat
 
 from .basis import Basis, PreconditionError, _record, extend_coverage, first_gap
@@ -452,9 +452,10 @@ _KINDS = {
     # starts from the best top found so far, its floor, and counts a run below it at once
     "maximal": _Kind(lambda tops: [], _top_ties,
                      ("best = dfs._tally", "floor = best[0][-1] if best else 0"), _maximal_leaf),
-    # the JSONL lines json.dumps gives, each ending in `ends[e]`, and their count by e; the
-    # line takes the text of each element, comma included, and of the top with its tail.
-    # The lists stay apart, to be written one by one through `_take_records` as they come
+    # the JSONL lines and their count by e: a line holds the bytes of `json.dumps(record,
+    # separators=(",", ":"))` for the keys p, basis, tail and, when classifying, extensible
+    # and symmetricisable, and ends in `ends[e]`, newline included; it takes the text of
+    # each element, comma included, and of the top with its tail
     "records": _Kind(lambda tops: [[], [0, 0, 0]], iter,
                      ("out, tally = dfs._tally", "ends, due = dfs._ends, dfs._due"), _records_leaf,
                      lambda elements, shift: {"digits": tuple(f"{a}," for a in elements),
@@ -772,24 +773,6 @@ def load_checkpoint(path: str, p: int, mode: str, classify_records: bool) -> tup
     return {k: state[k] for k in ("p", "prefix", "cursors", "visited")}, counts
 
 
-def _take_records(records: list, counts: dict, classify_records: bool) -> str:
-    """The pending lines of a records fold as one string; their counts move into `counts`.
-
-    A line holds the bytes of `json.dumps(record, separators=(",", ":"))`
-    for the keys p, basis, tail and, when classifying, extensible and
-    symmetricisable, newline included.
-    """
-    lines, tally = records
-    text = "".join(lines)
-    lines.clear()
-    counts["count"] += sum(tally)
-    if classify_records:  # a symmetricisable basis is extensible
-        counts["n_e"] += tally[1] + tally[2]
-        counts["n_s"] += tally[2]
-    tally[:] = (0, 0, 0)
-    return text
-
-
 def run_enumeration(
     p: int,
     mode: str = "plain",
@@ -837,12 +820,28 @@ def run_enumeration(
     # over the budget, leaves it as it was; a pooled run checks p here and walks the subtrees
     dfs = BasisDFS(p, total, constrained=p - 1, state=state, node_budget=node_budget)
 
-    def emit_records(sink):
-        """Write the records, flushing only before each checkpoint and at the end."""
+    # a resumed run keeps the records the checkpoint counts and cuts the file after them
+    with (open(out_path, "r+" if counts["count"] else "w", encoding="utf-8")
+          if out_path is not None else nullcontext(out_stream)) as sink:
+        if counts["count"]:  # only a resume counts records, and it has a record file
+            for _ in range(counts["count"]):
+                if not sink.readline().endswith("\n"):  # missing, or torn by the interruption
+                    raise PreconditionError("record file is shorter than the checkpoint expects")
+            sink.seek(sink.tell())  # a text read runs ahead of tell(), where truncate() would cut
+            sink.truncate()
 
         def drain(records):
-            sink.write(_take_records(records, counts, classify_records))
+            """Write a records fold's pending lines; their counts move into `counts`."""
+            lines, tally = records
+            sink.write("".join(lines))
+            lines.clear()
+            counts["count"] += sum(tally)
+            if classify_records:  # a symmetricisable basis is extensible
+                counts["n_e"] += tally[1] + tally[2]
+                counts["n_s"] += tally[2]
+            tally[:] = (0, 0, 0)
 
+        # the file is flushed only before each checkpoint and at the end
         checkpoint_due = dfs.visited + checkpoint_every
 
         def pause():  # at the leaf where dfs.state() now stands; returns the next pause
@@ -869,24 +868,8 @@ def run_enumeration(
         # gets every record before the recovery point goes
         if checkpoint_path:
             sink.flush()
-            try:
+            with suppress(FileNotFoundError):
                 os.remove(checkpoint_path)
-            except FileNotFoundError:
-                pass
-
-    if out_path is not None:
-        # a resumed run keeps the records the checkpoint counts and cuts the file after them
-        with open(out_path, "r+" if counts["count"] else "w", encoding="utf-8") as fh:
-            for _ in range(counts["count"]):
-                if not fh.readline().endswith("\n"):  # missing, or torn by the interruption
-                    raise PreconditionError(
-                        "record file is shorter than the checkpoint expects"
-                    )
-            fh.seek(fh.tell())  # a text read runs ahead of tell(), and truncate() would cut there
-            fh.truncate()
-            emit_records(fh)
-    else:
-        emit_records(out_stream)  # never checkpointed, so it needs no flush()
     summary = {"p": p, "mode": mode, "n_p" if mode == "plain" else "n_plus": counts["count"]}
     if classify_records:
         summary.update(n_e=counts["n_e"], n_s=counts["n_s"])

@@ -132,6 +132,16 @@ def test_parse_and_wire_formats():
         Basis.from_json('{"numbers": [1, 2]}')
 
 
+def test_a_basis_is_the_sequence_of_its_elements():
+    basis = Basis((1, 3, 4, 5, 8))
+    assert len(basis) == 5
+    assert list(basis) == [1, 3, 4, 5, 8]
+    assert (basis[0], basis[2], basis[-1]) == (1, 4, 8)
+    assert basis[1:3] == (3, 4)
+    with pytest.raises(IndexError):
+        basis[5]
+
+
 @settings(max_examples=200)
 @given(elements_strategy())
 def test_text_round_trip(elements):

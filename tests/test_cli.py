@@ -482,6 +482,43 @@ def test_enumerate_resume_without_checkpoint(tmp_path, capsys):
     assert "checkpoint" in err
 
 
+def test_enumerate_resume_needs_a_checkpoint_file(tmp_path, capsys):
+    out = tmp_path / "o.jsonl"
+    out.write_bytes(b"keep\n")
+    code, out_text, err = run_cli(capsys, "enumerate", "8", "--out", str(out), "--resume")
+    assert (code, out_text, err) == (2, "", "error: --resume needs a checkpoint file\n")
+    assert out.read_bytes() == b"keep\n"
+
+
+def _edited(edit):
+    return lambda text: json.dumps(edit(json.loads(text)))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(lambda text: text[:len(text) // 2], "checkpoint {ckpt!r} is not valid JSON",
+                 id="torn"),
+    pytest.param(_edited(lambda ckpt: {k: v for k, v in ckpt.items() if k != "cursors"}),
+                 "checkpoint is missing field 'cursors'", id="no-cursors"),
+    pytest.param(_edited(lambda ckpt: {**ckpt, "cursors": ckpt["cursors"][:-1]}),
+                 "corrupt state: prefix/cursor length mismatch", id="cursor-missing"),
+    pytest.param(_edited(lambda ckpt: {**ckpt, "prefix": list(range(1, 10)),
+                                       "cursors": list(range(2, 11))}),
+                 "corrupt state: prefix is deeper than the search", id="too-deep"),
+    pytest.param(_edited(lambda ckpt: _stats(count=0)(
+                     {**ckpt, "visited": len(ckpt["prefix"]) - 1})),
+                 "corrupt state: fewer nodes visited than the prefix holds", id="too-few-visited"),
+])
+def test_enumerate_resume_rejects_a_malformed_checkpoint(tmp_path, capsys, corrupt, message):
+    # each refusal comes before the record file is opened, so its bytes stay as they were
+    argv, lines, _ = _budget_aborted_p9(capsys, tmp_path)
+    out, ckpt = tmp_path / "o.jsonl", tmp_path / "c.json"
+    ckpt.write_text(corrupt(ckpt.read_text()))
+    code, out_text, err = run_cli(capsys, *argv, "--resume")
+    assert (code, out_text) == (2, "")
+    assert err == f"error: {message.format(ckpt=str(ckpt))}\n"
+    assert out.read_bytes() == b"".join(lines)
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["enumerate", "9", "--out", "sub/o.jsonl"], id="record-dir-missing"),
     pytest.param(["tables", "1", "--p-max", "8", "--out", "nodir/x.csv"], id="table-dir-missing"),
@@ -724,6 +761,19 @@ def test_meaningless_numbers_rejected(capsys, argv):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert f"error: argument {argv[2]}: must be >= " in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "8", "--threads", "x"],
+    ["enumerate", "8", "--node-budget", "1e3"],
+    ["tables", "1", "--p-max", "3.5"],
+])
+def test_non_integer_numbers_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"error: argument {argv[2]}: not an integer: {argv[3]!r}\n" in captured.err
 
 
 @pytest.mark.parametrize("which", range(1, 16))

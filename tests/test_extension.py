@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stampbase import extension
 from stampbase.basis import Basis, PreconditionError, basis_range
 from stampbase.extension import (
     extend_arithmetic,
@@ -89,6 +90,23 @@ def test_range_can_exceed_identity_below_threshold():
     assert basis_range(extend_arithmetic(basis, 15, 0)).n == 59
     assert basis_range(extend_arithmetic(basis, 15, 1)).n == 68
     assert extension_range_identity(basis, 15, 12)
+
+
+def test_range_identity_continues_the_extensibility_walk(monkeypatch):
+    # the checks start at k*, where the extensibility walk stops, so each of A_{j+1}, ...,
+    # A_{j+k_max} is stepped to once and the base's coverage is not built again
+    basis = Basis((1, 2, 5, 7, 10, 11, 18, 21, 24, 27, 28, 29, 34, 38))
+    assert is_extensible(basis, 15).k_star == 2
+    calls = {"coverage": 0, "extend_coverage": 0}
+    for name in calls:
+        step = getattr(extension, name)
+
+        def counted(*args, name=name, step=step):
+            calls[name] += 1
+            return step(*args)
+        monkeypatch.setattr(extension, name, counted)
+    assert extension_range_identity(basis, 15, 12)
+    assert calls == {"coverage": 0, "extend_coverage": 12}
 
 
 def test_stohr_terms():

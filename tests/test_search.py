@@ -740,6 +740,13 @@ def test_restore_rejects_corrupt_state(p, prefix, cursors):
         BasisDFS(p, p - 1, state=state)
 
 
+def test_restore_rejects_a_frontier_of_another_p():
+    # a checkpoint of another p is refused before it is restored, so only a caller that
+    # restores a frontier itself meets this
+    with pytest.raises(PreconditionError, match=r"^corrupt state: saved for p=9, not 8$"):
+        BasisDFS(8, 7, state={"p": 9, "prefix": [1, 3], "cursors": [4, 5]})
+
+
 @pytest.mark.parametrize("extra", [0, 1], ids=["plain", "plus"])
 @pytest.mark.parametrize("p", range(3, 10))
 def test_budget_trip_state_holds_the_node_over_budget(p, extra):
