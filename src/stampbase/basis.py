@@ -256,12 +256,7 @@ def is_p_basis(basis: Basis, p: int) -> bool:
     """Exactly p-1 elements, one from each nonzero residue class mod p, admissible."""
     if p < 3:
         raise PreconditionError(f"p-basis test needs p >= 3, got {p}")
-    if basis.k != p - 1:
-        return False
-    residues = {a % p for a in basis.elements}
-    if 0 in residues or len(residues) != p - 1:
-        return False
-    return basis_range(basis).admissible
+    return basis.k == p - 1 and residue_profile(basis, p).complete and basis_range(basis).admissible
 
 
 def is_symmetric(basis: Basis) -> bool:

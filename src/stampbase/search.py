@@ -32,7 +32,7 @@ import os
 import sys
 from collections import namedtuple
 from contextlib import contextmanager, nullcontext, suppress
-from itertools import chain, repeat
+from itertools import repeat
 
 from .basis import Basis, PreconditionError, _record, extend_coverage, first_gap
 from .symmetric import symmetricisable_raw
@@ -123,7 +123,7 @@ class BasisDFS:
             state = {"prefix": [1], "cursors": [2], "visited": 1}
         prefix, cursor, frames = self._restore(state)
         self._at = (*prefix, cursor - 1)
-        self._walker = chain.from_iterable(self._path(prefix, cursor, frames))
+        self._walker = self._path(prefix, cursor, frames)
 
     def _restore(self, state: dict) -> tuple[list[int], int, list]:
         """Check a frontier, rejecting any that no walk could reach or the budget forbids."""
@@ -218,7 +218,11 @@ class BasisDFS:
         it sets the frontier there and calls `pause()`, which returns the
         next due.  A walk that has already run, as a fold or by yielding a
         leaf, is refused: its kernels would start where the last run ended.
+        So is a classifying fold on other than p-bases and p+-bases (see `classify_raw`).
         """
+        if kind != "range" and not self.constrained == self.p - 1 <= self.total <= self.p:
+            raise PreconditionError("a classifying fold walks p - 1 constrained levels of p - 1 "
+                                    "or p (p-bases or p+-bases); only a range fold walks any shape")
         if self._ran:
             raise PreconditionError("this walk has already run; build a new BasisDFS")
         self._kind, self._ends, self._due, self._pause = kind, ends, due, pause
@@ -237,7 +241,7 @@ class BasisDFS:
         return BudgetExceededError(visited, self.node_budget)
 
     def _path(self, prefix: list[int], cursor: int, frames: list):
-        """The walks that finish the subtree of each prefix on the frontier's path, deepest first.
+        """The walk: a kernel finishing each prefix's subtree on the frontier's path, deepest first.
 
         Each kernel is built when the one before it has ended, so it starts
         from the `visited` that one left, and from the frame `_restore` built.
@@ -249,7 +253,7 @@ class BasisDFS:
             walk = _kernel(p, self.total, self.constrained, root, kind)(
                 self, self.visited, cap, cursor, *prefix[1:root], *frames[root])
             if kind is None:  # a fold's kernel has run to its end by now, and yields no leaf
-                yield walk
+                yield from walk
             if self._at:  # the budget stopped that kernel, and state() resumes it
                 return
             cursor = prefix[root - 1] + 1
@@ -333,7 +337,7 @@ def _kernel_source(p: int, total: int, constrained: int, root: int, inner: int |
     """
     leaf = total - 1  # the index of a leaf's last element
     one = p - 2 if constrained == p - 1 else None  # the level with one free residue left
-    step = 1 if constrained <= leaf else p if leaf == one else 0
+    step = p if leaf == one else 1  # on a p-basis leaf, and on a p+-basis one
     free, entry = f"f{root - 1}", _KINDS[kind]
 
     def upto(k):  # "c1, ..., ck, ", for a tuple display or an argument list

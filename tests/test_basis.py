@@ -213,6 +213,12 @@ def test_is_p_basis(elements, p, verdict):
     assert is_p_basis(Basis(elements), p) is verdict
 
 
+def test_the_p_basis_test_refuses_p_below_3():
+    with pytest.raises(PreconditionError) as err:
+        is_p_basis(Basis((1,)), 2)
+    assert str(err.value) == "p-basis test needs p >= 3, got 2"
+
+
 def test_symmetrize_examples():
     initial = Basis((1, 3, 4, 6, 11))
     even = symmetrize(initial, "even")

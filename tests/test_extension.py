@@ -124,6 +124,12 @@ def test_stohr_terms():
         stohr_sequence(seed, -1)
 
 
+def test_the_extension_step_must_be_at_least_2():
+    with pytest.raises(PreconditionError) as err:
+        is_extensible(Basis((1, 2)), 1)
+    assert str(err.value) == "extension step must be at least 2, got 1"
+
+
 @pytest.mark.parametrize("elements, p, pattern", PERIODIC_SEEDS)
 def test_periodic_increments(elements, p, pattern):
     report = periodic_scan(Basis(elements), max_terms=60)

@@ -833,6 +833,37 @@ def test_the_kinds_table_lists_every_fold():
     assert set(search._KINDS) == {None, *FOLDS}
 
 
+# walks of other than p-bases and p+-bases: fewer than p - 1 levels, all constrained, and
+# p-bases with two free elements on top
+OTHER_SHAPES = [(7, 4, 4), (9, 5, 5), (11, 6, 6), (20, 6, 6), (12, 8, 8),
+                *((p, p + 1, p - 1) for p in range(5, 9))]
+
+
+@pytest.mark.parametrize("p, total, constrained", OTHER_SHAPES)
+def test_a_classifying_fold_refuses_other_walks(monkeypatch, p, total, constrained):
+    # the leaf test is proved for p-basis and p+-basis leaves alone: run here, its bit checks
+    # shift by a negative count on the first four shapes, the maximal floor skip steps by p
+    # over leaves of (12, 8) that are not spaced by p, and the tallies of two free elements
+    # disagree with classify_raw on the walk's leaves
+    monkeypatch.setattr(search, "_KERNELS", {})
+    dfs = BasisDFS(p, total, constrained=constrained)
+    for kind in ("tally", "maximal", "records"):
+        with pytest.raises(PreconditionError) as err:
+            dfs.fold(kind)
+        assert str(err.value) == (
+            "a classifying fold walks p - 1 constrained levels of p - 1 or p (p-bases or "
+            "p+-bases); only a range fold walks any shape")
+    assert search._KERNELS == {}  # refused before any kernel was built
+    ranges = [0, 0, 0]
+    for elems in BasisDFS(p, total, constrained=constrained):
+        d = brute_range(elems) - (elems[-1] + p - 1)
+        ranges[(d >= 0) + (d > 0)] += 1
+    assert dfs.fold("range") == ranges  # the refusals left the walk to run
+    walk = BasisDFS(p, total, constrained=constrained)
+    assert len(list(walk)) == sum(ranges)
+    assert dfs.visited == walk.visited == len(search_nodes(p, total, constrained))
+
+
 def test_budget_abort_reports_node_counts():
     with pytest.raises(BudgetExceededError) as err:
         enumerate_p_bases(10, node_budget=50)

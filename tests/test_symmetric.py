@@ -70,6 +70,16 @@ def test_small_closure_construction():
     assert result.admissible and result.n == 44
 
 
+@pytest.mark.parametrize("p, j, message", [
+    (0, 1, "step must be positive, got 0"),
+    (3, -1, "extension count must be >= 0, got -1"),
+])
+def test_a_closure_needs_a_positive_step_and_a_count_of_at_least_0(p, j, message):
+    with pytest.raises(PreconditionError) as err:
+        build_symmetric_closure(Basis((1, 2, 3)), p, j)
+    assert str(err.value) == message
+
+
 @settings(max_examples=300)
 @given(origins(), st.integers(1, 9), st.integers(0, 5))
 def test_closure_matches_literal_assembly(origin, p, j):
